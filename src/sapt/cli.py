@@ -7,7 +7,8 @@ writes manifest.txt, report.txt, posterior/trace CSVs and, when the
 surrogate was active, surrogate_trace.csv into --out-dir.
 
 Exit codes: 0 success, 1 configuration or input error, 2 runtime
-failure (including partial runs after a worker loss).
+failure (including a sampling failure, which leaves a partial
+report.txt).
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--burn-in", type=float, default=0.5,
                         help="fraction of steps in the tempered phase")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sequential", action="store_true",
-                        help="run replicas round-robin in one process "
-                             "(deterministic scheduling)")
     parser.add_argument("--out-dir", default="sapt-out")
     parser.add_argument("--thin", type=int, default=10,
                         help="posterior thinning stride for accuracy and "
@@ -82,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Gaussian prior variance on every parameter")
     parser.add_argument("--surrogate-hidden", type=int, nargs=2,
                         default=None, metavar=("H1", "H2"))
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds the manager waits on a worker message")
     parser.add_argument("--accuracy-mode",
                         choices=[MODE_PER_SAMPLE, MODE_POSTERIOR_MEAN],
                         default=MODE_PER_SAMPLE)
@@ -164,8 +160,6 @@ def _manifest_entries(args, dataset_id, topology, config: SamplerConfig):
         "lg_prob": f"{config.proposal.lg_prob:.17g}",
         "prior_sigma_sq": f"{config.prior.sigma_sq:.17g}",
         "base_seed": config.base_seed,
-        "sequential_mode": config.sequential_mode,
-        "worker_timeout": f"{config.worker_timeout:.17g}",
         "surrogate_hidden": f"{config.surrogate_hidden[0]} "
                             f"{config.surrogate_hidden[1]}",
         "thin": args.thin,
@@ -192,8 +186,6 @@ def _run_command(args) -> int:
         ),
         prior=PriorConfig(sigma_sq=args.prior_var),
         base_seed=args.seed,
-        sequential_mode=args.sequential,
-        worker_timeout=args.timeout,
         surrogate_hidden=surrogate_hidden,
     )
     if args.thin < 1:
@@ -224,9 +216,6 @@ def _run_command(args) -> int:
           f"{report.surrogate_evals}, elapsed {summary.elapsed_minutes:.2f} "
           f"min")
     print(f"outputs in {out}")
-    if report.partial:
-        print(f"partial run: {report.failure}", file=sys.stderr)
-        return 2
     return 0
 
 

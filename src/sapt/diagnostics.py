@@ -202,7 +202,7 @@ def write_surrogate_trace(chain: PosteriorChain, path) -> int:
 
 
 def write_manifest(path, entries: dict) -> None:
-    """Key-value run echo; enough to reproduce the run in sequential mode."""
+    """Key-value run echo; enough to reproduce the run bit for bit."""
     with open(path, "w") as fh:
         for key, value in entries.items():
             fh.write(f"{key} {value}\n")

@@ -1,15 +1,15 @@
 """Replica-ensemble driver: tempered exploration, swaps, surrogate refits.
 
-One manager coordinates M replicas. Each replica runs Metropolis steps
-in blocks of swap_interval; after every block all running replicas
-synchronize for a neighbor-pair swap sweep, and at surrogate-interval
-boundaries the manager gathers the staged true-likelihood rows, refits
-the shared surrogate and broadcasts the new snapshot. Once a replica's
-step budget crosses burn_in_fraction of its total, its temperature
-drops to 1 and recorded samples switch to the exploit phase; only those
-samples enter the combined posterior.
+All M replicas run in one process. Each replica runs Metropolis steps
+in blocks of swap_interval; after every block a neighbor-pair swap
+sweep runs over all of them, and at surrogate-interval boundaries the
+staged true-likelihood rows are gathered, the shared surrogate is
+refitted and every replica gets the new snapshot. Once a
+replica's step budget crosses burn_in_fraction of its total, its
+temperature drops to 1 and recorded samples switch to the exploit
+phase; only those samples enter the combined posterior.
 
-Determinism contract (identical in sequential and parallel mode):
+Determinism contract:
 
 * replica i draws from default_rng(base_seed + i); its first use is the
   initial theta (parameter_count normals of sd INITIAL_THETA_SD, i.e.
@@ -22,13 +22,14 @@ Determinism contract (identical in sequential and parallel mode):
 * the surrogate's init and shuffles use
   default_rng(base_seed + replica_count + 1) via its own generator.
 
-Scheduling never touches these streams, so a round-robin in-process run
-and the multiprocess run produce bit-identical chains.
+The order in which replicas step within a block never touches these
+streams, so a run is reproduced bit for bit by its seed and settings.
 
 Surrogate estimates never outlive their purpose. An accepted
 surrogate-path step leaves its estimate as the state's log_lik, which
-later surrogate-path decisions and swaps compare against. Before the next true-path decision the step engine re-scores that
-log_lik to the true value: the truth measured at the surrogate step
+later surrogate-path decisions and swaps compare against. Before the
+next true-path decision the step engine re-scores that log_lik to the
+true value: the truth measured at the surrogate step
 when track_surrogate_truth is on, or one fresh likelihood call
 (counted in rescore_evals, outside true_evals) when it is off. Both
 give the same float and draw nothing, so chains do not depend on
@@ -40,8 +41,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-import traceback
-import multiprocessing as mp
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,7 +64,11 @@ INITIAL_THETA_SD = 1.0
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Run-shaping knobs; defaults mirror the reference experiments."""
+    """Run-shaping knobs; defaults mirror the reference experiments.
+
+    sequential_mode is accepted and ignored: every run steps all
+    replicas in one process, and the chains do not depend on it.
+    """
 
     replica_count: int = 10
     total_samples: int = 50000
@@ -78,7 +81,6 @@ class SamplerConfig:
     prior: PriorConfig = PriorConfig()
     base_seed: int = 0
     sequential_mode: bool = False
-    worker_timeout: float = 600.0
     track_surrogate_truth: bool = True
     surrogate_hidden: tuple = (64, 16)
 
@@ -101,8 +103,6 @@ class SamplerConfig:
             raise ConfigError("burn_in_fraction must lie in (0,1)")
         if self.max_temp < 1.0:
             raise ConfigError("max_temp must be >= 1")
-        if self.worker_timeout <= 0:
-            raise ConfigError("worker_timeout must be positive")
         if len(self.surrogate_hidden) != 2 \
                 or min(self.surrogate_hidden) < 1:
             raise ConfigError("surrogate_hidden must be two positive sizes")
@@ -244,13 +244,8 @@ def swap_sweep(states, rng):
     return states, accepted
 
 
-def collect_surrogate_data(replicas) -> SurrogateBatch:
-    """Concatenate and clear every replica's staged training rows."""
-    return SurrogateBatch.concat([r.collect() for r in replicas])
-
-
 class _ReplicaRunner:
-    """Step engine for one replica; the same object runs in either mode."""
+    """Step engine for one replica."""
 
     def __init__(self, index: int, config: SamplerConfig, target,
                  parameter_count: int, temperature: float, max_steps: int):
@@ -260,13 +255,12 @@ class _ReplicaRunner:
         self.parameter_count = parameter_count
         self.max_steps = max_steps
         self.exploit_start = int(config.burn_in_fraction * max_steps)
-        seed = config.base_seed + index
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(config.base_seed + index)
         theta0 = self.rng.normal(0.0, INITIAL_THETA_SD, parameter_count)
         self.state = ReplicaState(
             theta=theta0, temperature=temperature,
             log_lik=target.log_likelihood(theta0),
-            log_prior=target.log_prior(theta0), rng_seed=seed,
+            log_prior=target.log_prior(theta0),
         )
         self.history = LikelihoodHistory()
         self.model: SurrogateModel | None = None
@@ -381,12 +375,10 @@ class _ReplicaRunner:
 
 
 class _Manager:
-    """Swap and surrogate bookkeeping shared by both drivers."""
+    """Swap and surrogate bookkeeping of one run."""
 
-    def __init__(self, config: SamplerConfig, parameter_count: int,
-                 max_steps_list):
+    def __init__(self, config: SamplerConfig, parameter_count: int):
         self.config = config
-        self.max_steps_list = list(max_steps_list)
         self.rng = np.random.default_rng(config.base_seed
                                          + config.replica_count)
         self.active = config.surrogate_prob > 0
@@ -400,50 +392,21 @@ class _Manager:
         self.train_rmse: list = []
         self.swap_attempts = 0
         self.swap_accepts = 0
-        self.alive = config.replica_count
-        self.total_blocks = max(
-            -(-steps // config.swap_interval) for steps in self.max_steps_list
-        )
-
-    def participants(self, block: int) -> list:
-        start = block * self.config.swap_interval
-        return [i for i, steps in enumerate(self.max_steps_list)
-                if steps > start]
-
-    def block_steps(self, block: int, index: int) -> int:
-        start = block * self.config.swap_interval
-        return min(self.config.swap_interval,
-                   self.max_steps_list[index] - start)
 
     def is_boundary(self, block: int) -> bool:
         return self.active \
             and (block + 1) % self.config.blocks_per_interval == 0
 
     def sweep(self, states) -> list:
-        """Neighbor sweep over the running subset, with mixed-phase guard.
-
-        Unequal step budgets let a short replica enter the exploit phase
-        (T=1) while a colder slot is still tempered; such an inverted
-        pair is skipped without drawing, everything else follows
-        swap_sweep's rules.
-        """
-        states = list(states)
-        accepted = [False] * max(len(states) - 1, 0)
-        for p in range(len(states) - 1):
-            if p > 0 and accepted[p - 1]:
-                continue
-            if states[p + 1].temperature < states[p].temperature:
-                continue
-            self.swap_attempts += 1
-            beta = swap_probability(states[p], states[p + 1])
-            if self.rng.uniform() <= beta:
-                states[p], states[p + 1] = apply_swap(states[p], states[p + 1])
-                accepted[p] = True
-                self.swap_accepts += 1
+        """swap_sweep on the manager's stream, counting its decisions."""
+        states, accepted = swap_sweep(states, self.rng)
+        # a pair is attempted unless its lower member just swapped
+        self.swap_attempts += len(accepted) - int(accepted[:-1].sum())
+        self.swap_accepts += int(accepted.sum())
         return states
 
     def train(self, batches):
-        """Refit on this interval's rows; returns the broadcast snapshot."""
+        """Refit on this interval's rows; returns the shared snapshot."""
         merged = SurrogateBatch.concat(batches)
         if merged.rows == 0:
             log.warning("surrogate interval yielded no true-likelihood rows; "
@@ -452,181 +415,50 @@ class _Manager:
             self.train_rmse.append(self.model.train(merged))
         return self.model if self.model.train_count > 0 else None
 
-    def mark_done(self) -> None:
-        self.alive -= 1
-        if self.alive < 0:
-            raise ContractError("replica completion signaled twice")
 
-
-def _run_sequential(config: SamplerConfig, target, parameter_count: int,
-                    max_steps_list):
+def _sample(config: SamplerConfig, target, parameter_count: int,
+            manager: _Manager) -> list:
+    """Step every replica block by block; returns their traces."""
     ladder = build_ladder(config.replica_count, config.max_temp)
+    steps = config.steps_per_replica
     runners = [
         _ReplicaRunner(i, config, target, parameter_count,
-                       float(ladder.temps[i]), max_steps_list[i])
+                       float(ladder.temps[i]), steps)
         for i in range(config.replica_count)
     ]
-    manager = _Manager(config, parameter_count, max_steps_list)
-    finished = [False] * config.replica_count
-    for block in range(manager.total_blocks):
-        parts = manager.participants(block)
-        for i in parts:
-            runners[i].run_block(manager.block_steps(block, i))
-        new_states = manager.sweep([runners[i].state for i in parts])
-        for i, state in zip(parts, new_states):
-            runners[i].state = state
-        if manager.is_boundary(block):
-            snapshot = manager.train([runners[i].collect() for i in parts])
-            if snapshot is not None:
-                for i in parts:
-                    runners[i].model = snapshot
-        for i in parts:
-            if runners[i].step == max_steps_list[i] and not finished[i]:
-                finished[i] = True
-                manager.mark_done()
-    traces = [runner.finish() for runner in runners]
-    return traces, manager, ""
-
-
-class _WorkerFailure(RuntimeError):
-    pass
-
-
-def _worker_main(conn, index: int, config: SamplerConfig, target,
-                 parameter_count: int, temperature: float, max_steps: int):
-    try:
-        runner = _ReplicaRunner(index, config, target, parameter_count,
-                                temperature, max_steps)
-        blocks = -(-max_steps // config.swap_interval)
-        for block in range(blocks):
-            start = block * config.swap_interval
-            runner.run_block(min(config.swap_interval, max_steps - start))
-            conn.send(("sync", index, runner.state))
-            _, state = conn.recv()
+    for block in range(-(-steps // config.swap_interval)):
+        for runner in runners:
+            runner.run_block(min(config.swap_interval, steps - runner.step))
+        new_states = manager.sweep([runner.state for runner in runners])
+        for runner, state in zip(runners, new_states):
             runner.state = state
-            if config.surrogate_prob > 0 \
-                    and (block + 1) % config.blocks_per_interval == 0:
-                batch = runner.collect()
-                conn.send(("rows", index, batch.inputs, batch.targets))
-                _, model = conn.recv()
-                if model is not None:
-                    runner.model = model
-        conn.send(("done", index, runner.finish()))
-    except Exception:
-        try:
-            conn.send(("fail", index, traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
+        if manager.is_boundary(block):
+            snapshot = manager.train([runner.collect() for runner in runners])
+            if snapshot is not None:
+                for runner in runners:
+                    runner.model = snapshot
+    return [runner.finish() for runner in runners]
 
 
-def _send(conn, message, index: int):
-    try:
-        conn.send(message)
-    except (BrokenPipeError, OSError) as exc:
-        raise _WorkerFailure(f"replica {index} pipe closed ({exc})") from None
-
-
-def _recv(conn, timeout: float, expect: str, index: int):
-    try:
-        if not conn.poll(timeout):
-            raise _WorkerFailure(
-                f"replica {index} sent nothing for {timeout:g}s"
-            )
-        message = conn.recv()
-    except (EOFError, OSError) as exc:
-        raise _WorkerFailure(f"replica {index} pipe closed ({exc})") from None
-    if message[0] == "fail":
-        raise _WorkerFailure(f"replica {index} crashed:\n{message[2]}")
-    if message[0] != expect or message[1] != index:
-        raise _WorkerFailure(
-            f"replica {index} broke protocol: got {message[0]!r}, "
-            f"expected {expect!r}"
-        )
-    return message
-
-
-def _run_parallel(config: SamplerConfig, target, parameter_count: int,
-                  max_steps_list):
-    ctx = mp.get_context("spawn")
-    ladder = build_ladder(config.replica_count, config.max_temp)
-    manager = _Manager(config, parameter_count, max_steps_list)
-    pipes, procs = [], []
-    traces = [None] * config.replica_count
-    failure = ""
-    try:
-        for i in range(config.replica_count):
-            parent_end, child_end = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_end, i, config, target, parameter_count,
-                      float(ladder.temps[i]), max_steps_list[i]),
-                daemon=True,
-            )
-            proc.start()
-            child_end.close()
-            pipes.append(parent_end)
-            procs.append(proc)
-        timeout = config.worker_timeout
-        for block in range(manager.total_blocks):
-            parts = manager.participants(block)
-            states = [_recv(pipes[i], timeout, "sync", i)[2] for i in parts]
-            for i, state in zip(parts, manager.sweep(states)):
-                _send(pipes[i], ("state", state), i)
-            if manager.is_boundary(block):
-                batches = []
-                for i in parts:
-                    _, _, inputs, targets = _recv(pipes[i], timeout, "rows", i)
-                    batches.append(SurrogateBatch(
-                        inputs, targets,
-                        np.full(len(targets), i, dtype=np.int64)))
-                snapshot = manager.train(batches)
-                for i in parts:
-                    _send(pipes[i], ("model", snapshot), i)
-        for i in range(config.replica_count):
-            traces[i] = _recv(pipes[i], timeout, "done", i)[2]
-            manager.mark_done()
-    except _WorkerFailure as exc:
-        failure = str(exc)
-        log.error("aborting run: %s", failure)
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(5.0)
-        for pipe in pipes:
-            pipe.close()
-    return [t for t in traces if t is not None], manager, failure
-
-
-def run_target(config: SamplerConfig, target, parameter_count: int,
-               _max_steps_override=None):
+def run_target(config: SamplerConfig, target, parameter_count: int):
     """Sample any target exposing log_likelihood / log_prior, plus
     log_likelihood_gradient / log_prior_gradient for drift proposals.
 
-    Returns (PosteriorChain, RunReport). _max_steps_override injects
-    unequal per-replica budgets for early-termination tests; production
-    runs give every replica total_samples // replica_count steps.
+    Returns (PosteriorChain, RunReport). An exception raised while
+    sampling is logged with its traceback and ends the run: the chain
+    then holds no traces and the report is partial, naming the failure.
     """
     if parameter_count < 1:
         raise ConfigError("parameter_count must be >= 1")
-    if _max_steps_override is None:
-        max_steps_list = [config.steps_per_replica] * config.replica_count
-    else:
-        max_steps_list = [int(s) for s in _max_steps_override]
-        if len(max_steps_list) != config.replica_count:
-            raise ConfigError("override length must equal replica_count")
-        if min(max_steps_list) < 1:
-            raise ConfigError("every replica needs at least one step")
+    manager = _Manager(config, parameter_count)
     started = time.perf_counter()
-    if config.sequential_mode:
-        traces, manager, failure = _run_sequential(
-            config, target, parameter_count, max_steps_list)
-    else:
-        traces, manager, failure = _run_parallel(
-            config, target, parameter_count, max_steps_list)
+    try:
+        traces = _sample(config, target, parameter_count, manager)
+        failure = ""
+    except Exception as exc:
+        log.exception("sampling failed; the report is partial")
+        traces = []
+        failure = f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - started
 
     truths = np.concatenate([t.surrogate_truths for t in traces]) \

@@ -71,7 +71,6 @@ class ReplicaState:
     log_prior: float
     accepted_count: int = 0
     proposed_count: int = 0
-    rng_seed: int = 0
     phase: str = PHASE_TEMPERED
     log_lik_estimated: bool = False
     log_lik_truth: float = math.nan

@@ -1,10 +1,4 @@
-"""Picklable stand-in targets for sampler tests.
-
-Defined in a real module (not inline in a test) so spawned worker
-processes can unpickle them by import.
-"""
-import time
-
+"""Stand-in targets for sampler tests, shared by several test modules."""
 import numpy as np
 
 
@@ -61,20 +55,8 @@ class GaussianToyTarget:
         return mean, np.sqrt(1.0 / precision)
 
 
-class SleepyTarget(QuadraticTarget):
-    """Stalls every likelihood call; drives the worker-timeout path."""
-
-    def __init__(self, center, delay):
-        super().__init__(center)
-        self.delay = float(delay)
-
-    def log_likelihood(self, theta):
-        time.sleep(self.delay)
-        return super().log_likelihood(theta)
-
-
 class FailingTarget(QuadraticTarget):
-    """Raises after a fixed number of likelihood calls in one process."""
+    """Raises after a fixed number of likelihood calls."""
 
     def __init__(self, center, fail_after):
         super().__init__(center)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sapt
+from sapt.bnn import BnnPosterior
 from sapt.cli import build_parser, main
 from sapt.data import load_registered, save_csv
 
@@ -26,7 +27,6 @@ class TestParser:
         assert args.rw_sd == 0.025
         assert args.burn_in == 0.5
         assert args.thin == 10
-        assert not args.sequential
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -61,7 +61,7 @@ class TestRuns:
     def small_args(self, out_dir, extra=()):
         return ["--dataset", "iris", "--replicas", "2", "--samples", "400",
                 "--swap-interval", "10", "--surrogate-interval", "10",
-                "--sequential", "--thin", "5", "--seed", "1",
+                "--thin", "5", "--seed", "1",
                 "--out-dir", str(out_dir), *extra]
 
     def test_plain_run_outputs(self, capsys, tmp_path):
@@ -114,7 +114,7 @@ class TestRuns:
         code = run_cli(["--dataset", str(csv_path), "--hidden", "6",
                         "--replicas", "2", "--samples", "200",
                         "--swap-interval", "10", "--surrogate-interval",
-                        "10", "--sequential", "--thin", "5",
+                        "10", "--thin", "5",
                         "--out-dir", str(out)])
         assert code == 0
         assert "hidden_units 6" in (out / "manifest.txt").read_text()
@@ -125,3 +125,24 @@ class TestRuns:
         assert run_cli(self.small_args(out, extra)) == 0
         assert "proposal langevin_mix" in \
             (out / "manifest.txt").read_text()
+
+    def test_sampling_failure_leaves_partial_report(self, capsys, tmp_path,
+                                                   monkeypatch):
+        original = BnnPosterior.log_likelihood
+        calls = []
+
+        def failing(self, theta):
+            calls.append(None)
+            if len(calls) > 50:
+                raise RuntimeError("likelihood backend gave up")
+            return original(self, theta)
+
+        monkeypatch.setattr(BnnPosterior, "log_likelihood", failing)
+        out = tmp_path / "failed"
+        assert run_cli(self.small_args(out)) == 2
+        assert "gave up" in capsys.readouterr().err
+        report = (out / "report.txt").read_text()
+        assert "partial true" in report
+        assert "failure RuntimeError: likelihood backend gave up" in report
+        assert (out / "manifest.txt").exists()
+        assert not (out / "posterior_p0.csv").exists()
