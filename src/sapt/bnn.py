@@ -11,6 +11,15 @@ R^L. Layout, in order:
 
 The hidden layer applies a logistic sigmoid; the output layer is linear
 and class probabilities come from a softmax over the O outputs.
+
+The likelihood kernel works in place on its own temporaries and reduces
+the (N, O) output matrix one class column at a time: the row max with
+np.maximum and, for O < 8, the row sum with +=. numpy sums a last axis
+shorter than 8 elements in sequence, so the column adds give the bits of
+np.sum(axis=-1); from 8 elements on it sums pairwise, so the kernel
+keeps the axis sum there. Every function therefore returns the same bits
+as the plain formulas (kept in tests/_bnn_reference.py), and a seed gives
+the same chains whichever computed them.
 """
 
 from __future__ import annotations
@@ -56,9 +65,16 @@ class PriorConfig:
             raise ContractError(f"prior variance must be positive, got {self.sigma_sq}")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form stays finite for any float input, no overflow warnings
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + tanh(0.5 x)), overwriting x.
+
+    The tanh form stays finite for any float input, no overflow warnings.
+    """
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 def check_theta(theta: np.ndarray, topology: NetworkTopology) -> np.ndarray:
@@ -92,12 +108,60 @@ def pack(w, del_h, v, del_o) -> np.ndarray:
     ]).astype(np.float64)
 
 
+# From this many classes on, numpy's last-axis sum is pairwise rather
+# than sequential, and column adds would change the bits.
+PAIRWISE_SUM_CLASSES = 8
+
+
+def _exp_shifted_inplace(f: np.ndarray):
+    """Overwrite f with exp(f - row max); return f and its row sums.
+
+    Rows run along the last axis. The max is taken one class column at
+    a time, and so is the sum below PAIRWISE_SUM_CLASSES classes; both
+    give the bits of the last-axis np.max and np.sum.
+    """
+    classes = f.shape[-1]
+    row_max = f[..., 0].copy()
+    for j in range(1, classes):
+        np.maximum(row_max, f[..., j], out=row_max)
+    f -= row_max[..., None]
+    np.exp(f, out=f)
+    if classes >= PAIRWISE_SUM_CLASSES:
+        return f, np.sum(f, axis=-1)
+    row_sum = f[..., 0].copy()
+    for j in range(1, classes):
+        row_sum += f[..., j]
+    return f, row_sum
+
+
+def _softmax_inplace(f: np.ndarray) -> np.ndarray:
+    e, row_sum = _exp_shifted_inplace(f)
+    e /= row_sum[..., None]
+    return e
+
+
 def softmax(f: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, shifted by the row max for stability."""
-    f = np.asarray(f, dtype=np.float64)
-    shifted = f - np.max(f, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    """Softmax along the last axis, shifted by the row max for stability.
+
+    The row max is taken one class column at a time, and so is the row
+    sum below 8 classes; at 8 or more the sum runs along the axis, which
+    numpy then adds pairwise. Either way the result has the bits of
+    exp(f - max) / sum(exp(f - max)) with numpy's last-axis max and sum,
+    so chains stay bit-identical. f is not modified.
+    """
+    return _softmax_inplace(np.array(f, dtype=np.float64))
+
+
+def _hidden(w, del_h, features):
+    pre = features @ w
+    pre += del_h
+    return _sigmoid_inplace(pre)
+
+
+def _outputs(hidden, v, del_o):
+    out = hidden @ v
+    out += del_o
+    return out
 
 
 def forward_batch(theta: np.ndarray, features: np.ndarray,
@@ -110,8 +174,7 @@ def forward_batch(theta: np.ndarray, features: np.ndarray,
             f"feature matrix has shape {features.shape}, expected "
             f"(N, {topology.input_count})"
         )
-    hidden = _sigmoid(features @ w + del_h)
-    return hidden @ v + del_o
+    return _outputs(_hidden(w, del_h, features), v, del_o)
 
 
 def forward(theta: np.ndarray, x: np.ndarray, topology: NetworkTopology) -> np.ndarray:
@@ -124,7 +187,7 @@ def forward(theta: np.ndarray, x: np.ndarray, topology: NetworkTopology) -> np.n
 
 def class_probabilities(theta: np.ndarray, features: np.ndarray,
                         topology: NetworkTopology) -> np.ndarray:
-    return softmax(forward_batch(theta, features, topology))
+    return _softmax_inplace(forward_batch(theta, features, topology))
 
 
 def log_likelihood(theta: np.ndarray, dataset, topology: NetworkTopology) -> float:
@@ -136,9 +199,14 @@ def log_likelihood(theta: np.ndarray, dataset, topology: NetworkTopology) -> flo
     n = dataset.features.shape[0]
     if n < 1:
         raise ContractError("log_likelihood needs a nonempty dataset")
-    probs = class_probabilities(theta, dataset.features, topology)
-    picked = probs[np.arange(n), dataset.labels]
-    return float(np.sum(np.log(np.maximum(picked, PROB_FLOOR))))
+    e, row_sum = _exp_shifted_inplace(
+        forward_batch(theta, dataset.features, topology))
+    # only the label column is normalized
+    picked = e[np.arange(n), dataset.labels]
+    picked /= row_sum
+    np.maximum(picked, PROB_FLOOR, out=picked)
+    np.log(picked, out=picked)
+    return float(np.sum(picked))
 
 
 def log_prior(theta: np.ndarray, prior: PriorConfig) -> float:
@@ -160,15 +228,19 @@ def _backprop(theta, dataset, topology, d_out_of):
     """Chain rule from per-sample output derivatives to vector layout.
 
     d_out_of(probs) gives d(objective)/d(pre-softmax outputs), one row
-    per sample; the result is the objective's gradient in theta layout.
+    per sample, and may overwrite probs; the result is the objective's
+    gradient in theta layout.
     """
     w, del_h, v, del_o = unpack(theta, topology)
     features = dataset.features
-    hidden = _sigmoid(features @ w + del_h)
-    d_out = d_out_of(softmax(hidden @ v + del_o))
+    hidden = _hidden(w, del_h, features)
+    d_out = d_out_of(_softmax_inplace(_outputs(hidden, v, del_o)))
     g_v = hidden.T @ d_out
     g_del_o = d_out.sum(axis=0)
-    d_pre = (d_out @ v.T) * hidden * (1.0 - hidden)
+    d_pre = d_out @ v.T
+    d_pre *= hidden
+    # g_v was the last use of hidden, so 1 - hidden may overwrite it
+    d_pre *= np.subtract(1.0, hidden, out=hidden)
     g_w = features.T @ d_pre
     g_del_h = d_pre.sum(axis=0)
     return pack(g_w, g_del_h, g_v, g_del_o)
@@ -183,7 +255,8 @@ def log_likelihood_gradient(theta: np.ndarray, dataset,
     This is the gradient the Langevin drift proposal climbs.
     """
     return _backprop(theta, dataset, topology,
-                     lambda probs: dataset.one_hot - probs)
+                     lambda probs: np.subtract(dataset.one_hot, probs,
+                                               out=probs))
 
 
 def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.ndarray:

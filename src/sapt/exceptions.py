@@ -10,4 +10,4 @@ class ConfigError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """A data or checkpoint file could not be parsed or failed validation."""
+    """A data file could not be parsed or failed validation."""

@@ -344,8 +344,7 @@ class _ReplicaRunner:
         else:
             inputs = np.empty((0, self.parameter_count))
             targets = np.empty(0)
-        batch = SurrogateBatch(inputs, targets,
-                               np.full(len(targets), self.index, dtype=np.int64))
+        batch = SurrogateBatch(inputs, targets)
         self._staged_inputs = []
         self._staged_targets = []
         return batch

@@ -6,16 +6,6 @@ by a running min-max scaler so the binary cross-entropy loss is well
 defined. The model refits incrementally each collection interval from
 its previous weights, keeping its optimizer moments, so later fits start
 warm instead of from scratch.
-
-Checkpoint format (text, one record per line, floats as %.17g):
-
-    SAPT-SURR-1
-    topology <input> <h1> <h2>
-    scaler <lo> <hi>
-    train_count <n>
-    adam_step <t>
-    <12 array lines: W1 b1 W2 b2 W3 b3, then their first moments m*,
-     then second moments v*, each "name x0 x1 ...", row-major>
 """
 
 from __future__ import annotations
@@ -26,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContractError, DataFormatError
-
-CHECKPOINT_HEADER = "SAPT-SURR-1"
+from .exceptions import ContractError
 
 
 class TargetScaler:
@@ -80,18 +68,16 @@ class TargetScaler:
 class SurrogateBatch:
     """True-likelihood training rows collected from the replicas."""
 
-    inputs: np.ndarray          # rows x parameter_count
-    targets: np.ndarray         # rows, raw log-likelihood values
-    replica_origin: np.ndarray  # rows, ladder slot each row came from
+    inputs: np.ndarray   # rows x parameter_count
+    targets: np.ndarray  # rows, raw log-likelihood values
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.targets = np.asarray(self.targets, dtype=np.float64)
-        self.replica_origin = np.asarray(self.replica_origin, dtype=np.int64)
         if self.inputs.ndim != 2:
             raise ContractError("batch inputs must be 2-d")
         n = self.inputs.shape[0]
-        if self.targets.shape != (n,) or self.replica_origin.shape != (n,):
+        if self.targets.shape != (n,):
             raise ContractError("batch row counts differ")
         if n and not np.all(np.isfinite(self.targets)):
             raise ContractError("batch targets must be finite true likelihoods")
@@ -102,7 +88,7 @@ class SurrogateBatch:
 
     @classmethod
     def empty(cls, parameter_count: int) -> "SurrogateBatch":
-        return cls(np.empty((0, parameter_count)), np.empty(0), np.empty(0, int))
+        return cls(np.empty((0, parameter_count)), np.empty(0))
 
     @classmethod
     def concat(cls, batches) -> "SurrogateBatch":
@@ -110,8 +96,7 @@ class SurrogateBatch:
         if not batches:
             raise ContractError("concat of zero batches")
         return cls(np.concatenate([b.inputs for b in batches]),
-                   np.concatenate([b.targets for b in batches]),
-                   np.concatenate([b.replica_origin for b in batches]))
+                   np.concatenate([b.targets for b in batches]))
 
 
 @dataclass(frozen=True)
@@ -143,8 +128,6 @@ class SurrogateModel:
         if min(input_count, hidden1, hidden2) < 1:
             raise ContractError("surrogate layer sizes must be >= 1")
         self.input_count = input_count
-        self.hidden1 = hidden1
-        self.hidden2 = hidden2
         self._rng = np.random.default_rng(seed)
         sizes = [(input_count, hidden1), (hidden1, hidden2), (hidden2, 1)]
         self.weights = [self._rng.normal(0.0, math.sqrt(2.0 / fan_in),
@@ -219,12 +202,6 @@ class SurrogateModel:
         g_b1 = d_z1.sum(axis=0)
         return [g_w1, g_w2, g_w3, g_b1, g_b2, g_b3]
 
-    def loss(self, batch: SurrogateBatch) -> float:
-        """Mean binary cross-entropy of the batch under the current scaler."""
-        y = self.scaler.scale(batch.targets)
-        p = np.clip(self.predict_scaled(batch.inputs), 1e-12, 1.0 - 1e-12)
-        return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
     def train(self, batch: SurrogateBatch, epochs: int = 20,
               adam: AdamParams = AdamParams(), batch_size: int = 32) -> float:
         """Fit on one collected batch; returns RMSE on its scaled targets.
@@ -250,66 +227,6 @@ class SurrogateModel:
         self.train_count += 1
         residual = self.predict_scaled(inputs) - scaled
         return float(np.sqrt(np.mean(residual ** 2)))
-
-    # -- persistence -----------------------------------------------------
-
-    def _arrays(self):
-        names = ["W1", "b1", "W2", "b2", "W3", "b3"]
-        flat = [self.weights[0], self.biases[0], self.weights[1],
-                self.biases[1], self.weights[2], self.biases[2]]
-        # moment banks are stored weights-first, matching _m/_v layout
-        for prefix, bank in (("m", self._m), ("v", self._v)):
-            for name, arr in zip(["W1", "W2", "W3", "b1", "b2", "b3"], bank):
-                names.append(prefix + name)
-                flat.append(arr)
-        return names, flat
-
-    def save(self, path) -> None:
-        names, arrays = self._arrays()
-        with open(path, "w") as fh:
-            fh.write(CHECKPOINT_HEADER + "\n")
-            fh.write(f"topology {self.input_count} {self.hidden1} "
-                     f"{self.hidden2}\n")
-            fh.write(f"scaler {self.scaler.lo:.17g} {self.scaler.hi:.17g}\n")
-            fh.write(f"train_count {self.train_count}\n")
-            fh.write(f"adam_step {self.adam_step}\n")
-            for name, arr in zip(names, arrays):
-                values = " ".join(f"{x:.17g}" for x in np.ravel(arr))
-                fh.write(f"{name} {values}\n")
-
-    @classmethod
-    def load(cls, path) -> "SurrogateModel":
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or lines[0] != CHECKPOINT_HEADER:
-            raise DataFormatError(
-                f"{path}: not a {CHECKPOINT_HEADER} checkpoint"
-            )
-        fields = {}
-        for ln in lines[1:]:
-            if ln.strip():
-                key, _, rest = ln.partition(" ")
-                fields[key] = rest
-        try:
-            inp, h1, h2 = (int(x) for x in fields["topology"].split())
-            model = cls(inp, h1, h2)
-            lo, hi = (float(x) for x in fields["scaler"].split())
-            model.scaler = TargetScaler(lo, hi)
-            model.train_count = int(fields["train_count"])
-            model.adam_step = int(fields["adam_step"])
-            names, arrays = model._arrays()
-            for name, arr in zip(names, arrays):
-                vals = np.array(fields[name].split(), dtype=np.float64)
-                if vals.size != arr.size:
-                    raise DataFormatError(
-                        f"{path}: array {name} has {vals.size} values, "
-                        f"expected {arr.size}"
-                    )
-                arr[...] = vals.reshape(arr.shape)
-        except (KeyError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed checkpoint ({exc})") \
-                from None
-        return model
 
 
 class LikelihoodHistory:

@@ -255,8 +255,7 @@ def test_criterion_8_surrogate_sanity():
         hold = np.arange(inputs.shape[0]) % 5 == 4
         held_inputs.append(inputs[hold])
         held_targets.append(targets[hold])
-        batch = SurrogateBatch(inputs[~hold], targets[~hold],
-                               np.zeros(int((~hold).sum()), dtype=np.int64))
+        batch = SurrogateBatch(inputs[~hold], targets[~hold])
         train_rmses.append(model.train(batch))
     truth = np.concatenate(held_targets)
     predicted = np.array([model.predict(t)

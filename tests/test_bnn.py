@@ -24,6 +24,8 @@ from sapt.bnn import (
 from sapt.data import load_csv, make_dataset, registry_entry, resolve_data_file
 from sapt.exceptions import ContractError
 
+import _bnn_reference as ref
+
 # Hand-computed 2-2-2 instance; layout [w row-major, del_h, v row-major, del_o].
 THETA_222 = np.array([0.1, -0.2, 0.3, 0.4, 0.05, -0.05,
                       0.7, -0.6, 0.5, 0.2, 0.01, 0.02])
@@ -283,3 +285,83 @@ class TestBnnPosterior:
     def test_rejects_shape_mismatch(self, tiny_dataset):
         with pytest.raises(ContractError):
             BnnPosterior(NetworkTopology(3, 2, 2), tiny_dataset, PriorConfig())
+
+
+# Wide enough hidden layer that theta sd 30 drives some label
+# probabilities below PROB_FLOOR.
+LEAN_HIDDEN = 128
+LEAN_SDS = (0.3, 1.0, 5.0, 30.0)
+
+
+def lean_case(classes, rows, sd):
+    """(theta, dataset, topology) with the least likely class as the
+    label of every other row, so the floor clamp is reached."""
+    rng = np.random.default_rng([classes, rows, int(sd * 10)])
+    topo = NetworkTopology(4, LEAN_HIDDEN, classes)
+    theta = rng.normal(0.0, sd, size=topo.parameter_count)
+    features = rng.normal(size=(rows, 4))
+    labels = rng.integers(0, classes, rows)
+    least = np.argmin(ref.forward_batch(theta, features, topo), axis=1)
+    labels[::2] = least[::2]
+    return theta, make_dataset(features, labels, classes), topo
+
+
+@pytest.mark.parametrize("rows", [1, 5, 300])
+@pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 10])
+class TestLeanKernelBitIdentity:
+    """The kernel gives the reference formulas' bits and leaves its
+    inputs alone, on both sides of the 8-class reduction rule."""
+
+    def test_log_likelihood(self, classes, rows):
+        for sd in LEAN_SDS:
+            theta, ds, topo = lean_case(classes, rows, sd)
+            assert log_likelihood(theta, ds, topo) == \
+                ref.log_likelihood(theta, ds, topo)
+
+    def test_softmax_one_and_two_dimensional(self, classes, rows):
+        for sd in LEAN_SDS:
+            theta, ds, topo = lean_case(classes, rows, sd)
+            f = ref.forward_batch(theta, ds.features, topo)
+            kept = f.copy()
+            assert np.array_equal(softmax(f), ref.softmax(f))
+            assert np.array_equal(softmax(f[0]), ref.softmax(f[0]))
+            assert np.array_equal(f, kept)
+
+    def test_forward_and_class_probabilities(self, classes, rows):
+        for sd in LEAN_SDS:
+            theta, ds, topo = lean_case(classes, rows, sd)
+            assert np.array_equal(forward_batch(theta, ds.features, topo),
+                                  ref.forward_batch(theta, ds.features, topo))
+            assert np.array_equal(
+                class_probabilities(theta, ds.features, topo),
+                ref.class_probabilities(theta, ds.features, topo))
+
+    def test_gradients(self, classes, rows):
+        for sd in LEAN_SDS:
+            theta, ds, topo = lean_case(classes, rows, sd)
+            assert np.array_equal(log_likelihood_gradient(theta, ds, topo),
+                                  ref.log_likelihood_gradient(theta, ds, topo))
+            assert np.array_equal(sse_gradient(theta, ds, topo),
+                                  ref.sse_gradient(theta, ds, topo))
+
+    def test_inputs_unmodified(self, classes, rows):
+        theta, ds, topo = lean_case(classes, rows, 5.0)
+        kept = [a.copy() for a in (theta, ds.features, ds.labels, ds.one_hot)]
+        log_likelihood(theta, ds, topo)
+        forward_batch(theta, ds.features, topo)
+        class_probabilities(theta, ds.features, topo)
+        log_likelihood_gradient(theta, ds, topo)
+        sse_gradient(theta, ds, topo)
+        predict_accuracy(theta, ds, topo)
+        for before, after in zip(kept, (theta, ds.features, ds.labels,
+                                        ds.one_hot)):
+            assert np.array_equal(before, after)
+
+
+def test_lean_cases_reach_the_floor():
+    clamped = 0
+    for classes in (2, 3, 7, 8, 10):
+        theta, ds, topo = lean_case(classes, 300, 30.0)
+        probs = ref.class_probabilities(theta, ds.features, topo)
+        clamped += int(np.sum(probs[np.arange(300), ds.labels] < PROB_FLOOR))
+    assert clamped > 0

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sapt.exceptions import ContractError, DataFormatError
+from sapt.exceptions import ContractError
 from sapt.surrogate import (
     AdamParams,
     LikelihoodHistory,
@@ -14,11 +14,10 @@ from sapt.surrogate import (
 )
 
 
-def batch_from(fn, thetas, origin=0):
+def batch_from(fn, thetas):
     thetas = np.asarray(thetas, dtype=np.float64)
     targets = np.array([fn(t) for t in thetas])
-    return SurrogateBatch(thetas, targets,
-                          np.full(len(thetas), origin, dtype=np.int64))
+    return SurrogateBatch(thetas, targets)
 
 
 def sphere(theta):
@@ -67,11 +66,11 @@ class TestSurrogateBatch:
         assert b.inputs.shape == (0, 99)
 
     def test_concat(self):
-        a = batch_from(sphere, [[1.0, 0.0]], origin=0)
-        b = batch_from(sphere, [[0.0, 2.0], [1.0, 1.0]], origin=3)
+        a = batch_from(sphere, [[1.0, 0.0]])
+        b = batch_from(sphere, [[0.0, 2.0], [1.0, 1.0]])
         c = SurrogateBatch.concat([a, b])
         assert c.rows == 3
-        npt.assert_array_equal(c.replica_origin, [0, 3, 3])
+        npt.assert_array_equal(c.targets, [-1.0, -4.0, -2.0])
 
     def test_concat_zero_batches(self):
         with pytest.raises(ContractError):
@@ -79,12 +78,11 @@ class TestSurrogateBatch:
 
     def test_validation(self):
         with pytest.raises(ContractError):
-            SurrogateBatch(np.zeros(3), np.zeros(3), np.zeros(3, int))
+            SurrogateBatch(np.zeros(3), np.zeros(3))
         with pytest.raises(ContractError):
-            SurrogateBatch(np.zeros((2, 3)), np.zeros(1), np.zeros(2, int))
+            SurrogateBatch(np.zeros((2, 3)), np.zeros(1))
         with pytest.raises(ContractError):
-            SurrogateBatch(np.zeros((1, 2)), np.array([np.inf]),
-                           np.zeros(1, int))
+            SurrogateBatch(np.zeros((1, 2)), np.array([np.inf]))
 
 
 class TestSurrogateModel:
@@ -107,8 +105,7 @@ class TestSurrogateModel:
         rng = np.random.default_rng(3)
         thetas = rng.normal(size=(64, 5))
         model = SurrogateModel(5, hidden1=16, hidden2=8, seed=1)
-        b = SurrogateBatch(thetas, np.full(64, -40.0),
-                           np.zeros(64, dtype=np.int64))
+        b = SurrogateBatch(thetas, np.full(64, -40.0))
         model.train(b, epochs=5)
         # degenerate scaler pins every prediction to the single seen value
         assert model.predict(rng.normal(size=5)) == -40.0
@@ -119,9 +116,15 @@ class TestSurrogateModel:
         anchor = batch_from(sphere, rng.normal(size=(2, 3)))
         model.scaler.update(anchor.targets)
         row = batch_from(sphere, anchor.inputs[:1])
-        before = model.loss(row)
+
+        def bce():
+            y = model.scaler.scale(row.targets)
+            p = np.clip(model.predict_scaled(row.inputs), 1e-12, 1.0 - 1e-12)
+            return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+        before = bce()
         model.train(row, epochs=40)
-        assert model.loss(row) < before
+        assert bce() < before
 
     def test_learns_smooth_map(self):
         rng = np.random.default_rng(7)
@@ -152,34 +155,6 @@ class TestSurrogateModel:
         adam = AdamParams()
         assert (adam.step_size, adam.beta1, adam.beta2, adam.eps) == \
             (1e-3, 0.9, 0.999, 1e-8)
-
-
-class TestCheckpoint:
-    def test_roundtrip_and_resume(self, tmp_path):
-        rng = np.random.default_rng(13)
-        thetas = rng.normal(size=(80, 4))
-        model = SurrogateModel(4, hidden1=8, hidden2=4, seed=5)
-        model.train(batch_from(sphere, thetas), epochs=5)
-        path = tmp_path / "surr.ckpt"
-        model.save(path)
-        clone = SurrogateModel.load(path)
-        probe = rng.normal(size=(7, 4))
-        npt.assert_array_equal(clone.predict_scaled(probe),
-                               model.predict_scaled(probe))
-        assert clone.train_count == model.train_count
-        # optimizer moments restored: further training stays in lockstep
-        more = batch_from(sphere, thetas[:32])
-        r1 = model.train(more, epochs=2)
-        r2 = clone.train(more, epochs=2)
-        assert r1 == r2
-        npt.assert_array_equal(clone.predict_scaled(probe),
-                               model.predict_scaled(probe))
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_text("NOT-A-CHECKPOINT\n")
-        with pytest.raises(DataFormatError):
-            SurrogateModel.load(path)
 
 
 class TestHistoryAndBlend:
