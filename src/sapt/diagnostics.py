@@ -167,11 +167,12 @@ def emit_posterior(chain: PosteriorChain, out_dir, thin: int = 1) -> list:
         written.append(path)
     for trace in chain.traces:
         path = out / f"trace_replica{trace.replica}.csv"
+        sources, phases = trace.sources, trace.phases
         with open(path, "w") as fh:
             fh.write("step,log_lik,source,phase\n")
             for s in range(trace.steps):
                 fh.write(f"{s},{_fmt(trace.log_liks[s])},"
-                         f"{trace.sources[s]},{trace.phases[s]}\n")
+                         f"{sources[s]},{phases[s]}\n")
         written.append(path)
     path = out / "histograms.csv"
     with open(path, "w") as fh:

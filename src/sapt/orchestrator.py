@@ -3,8 +3,8 @@
 All M replicas run in one process. Each replica runs Metropolis steps
 in blocks of swap_interval; after every block a neighbor-pair swap
 sweep runs over all of them, and at surrogate-interval boundaries the
-staged true-likelihood rows are gathered, the shared surrogate is
-refitted and every replica gets the new snapshot. Once a
+staged true-likelihood rows are gathered and the one surrogate is
+refitted; replicas consult it once it has trained. Once a
 replica's step budget crosses burn_in_fraction of its total, its
 temperature drops to 1 and recorded samples switch to the exploit
 phase; only those samples enter the combined posterior.
@@ -47,7 +47,8 @@ import numpy as np
 
 from .bnn import BnnPosterior, NetworkTopology, PriorConfig
 from .exceptions import ConfigError, ContractError
-from .surrogate import LikelihoodHistory, SurrogateBatch, SurrogateModel, blend
+from .surrogate import (LikelihoodHistory, SurrogateBatch, SurrogateModel,
+                        blend, surrogate_rmse)
 from .tempering import (PHASE_EXPLOIT, PHASE_TEMPERED, ProposalConfig,
                         ReplicaState, apply_swap, build_ladder, make_proposal,
                         metropolis_step, swap_probability)
@@ -125,8 +126,6 @@ class ReplicaTrace:
     samples: np.ndarray        # steps x parameter_count
     log_liks: np.ndarray       # state log_lik after each step (an estimate
                                # while a surrogate-path state is held)
-    sources: np.ndarray        # "true" / "surrogate" per step
-    phases: np.ndarray         # "tempered" / "exploit" per step
     exploit_start: int
     true_evals: int
     surrogate_evals: int
@@ -146,6 +145,19 @@ class ReplicaTrace:
         if self.proposed_count == 0:
             return 0.0
         return self.accepted_count / self.proposed_count
+
+    @property
+    def sources(self) -> np.ndarray:
+        """Per step: SOURCE_SURROGATE at surrogate_steps, else SOURCE_TRUE."""
+        surrogate = np.zeros(self.steps, dtype=bool)
+        surrogate[self.surrogate_steps] = True
+        return np.where(surrogate, SOURCE_SURROGATE, SOURCE_TRUE)
+
+    @property
+    def phases(self) -> np.ndarray:
+        """Per step: PHASE_EXPLOIT from exploit_start on, else tempered."""
+        return np.where(np.arange(self.steps) >= self.exploit_start,
+                        PHASE_EXPLOIT, PHASE_TEMPERED)
 
 
 @dataclass
@@ -167,12 +179,6 @@ class PosteriorChain:
         if not parts:
             return np.empty((0, self.parameter_count))
         return np.concatenate(parts)
-
-    def combined_log_liks(self, thin: int = 1) -> np.ndarray:
-        if thin < 1:
-            raise ContractError(f"thin must be >= 1, got {thin}")
-        parts = [t.log_liks[t.exploit_start::thin] for t in self.traces]
-        return np.concatenate(parts) if parts else np.empty(0)
 
 
 @dataclass
@@ -245,10 +251,11 @@ def swap_sweep(states, rng):
 
 
 class _ReplicaRunner:
-    """Step engine for one replica."""
+    """Step engine for one replica; surrogate is the run's one model."""
 
     def __init__(self, index: int, config: SamplerConfig, target,
-                 parameter_count: int, temperature: float, max_steps: int):
+                 parameter_count: int, temperature: float, max_steps: int,
+                 surrogate: SurrogateModel | None):
         self.index = index
         self.config = config
         self.target = target
@@ -263,13 +270,11 @@ class _ReplicaRunner:
             log_prior=target.log_prior(theta0),
         )
         self.history = LikelihoodHistory()
-        self.model: SurrogateModel | None = None
+        self.surrogate = surrogate
         self.step = 0
         # filled row by row, so a run keeps no per-step theta arrays alive
         self._samples = np.empty((max_steps, parameter_count))
         self._log_liks = np.empty(max_steps)
-        self._sources: list = []
-        self._phases: list = []
         self._staged_inputs: list = []
         self._staged_targets: list = []
         self._surr_steps: list = []
@@ -300,9 +305,9 @@ class _ReplicaRunner:
                                         self.rng, self.state.temperature)
         use_surrogate = (kappa is not None and kappa < s_prob
                          and s >= self.config.surrogate_interval
-                         and self.model is not None)
+                         and self.surrogate.train_count > 0)
         if use_surrogate:
-            estimate = blend(self.model.predict(proposal), self.history)
+            estimate = blend(self.surrogate.predict(proposal), self.history)
             if self.config.track_surrogate_truth:
                 truth = self.target.log_likelihood(proposal)
             else:
@@ -312,7 +317,6 @@ class _ReplicaRunner:
             self._surr_truths.append(truth)
             evaluated = estimate
             self.surrogate_evals += 1
-            source = SOURCE_SURROGATE
         else:
             if self.state.log_lik_estimated:
                 self._rescore()
@@ -322,15 +326,12 @@ class _ReplicaRunner:
                 self._staged_inputs.append(proposal)
                 self._staged_targets.append(evaluated)
             self.true_evals += 1
-            source = SOURCE_TRUE
         self.state = metropolis_step(self.state, proposal, log_q, self.target,
                                      self.rng, proposal_log_lik=evaluated,
                                      estimate_truth=truth)
         self.history.push(evaluated)
         self._samples[s] = self.state.theta
         self._log_liks[s] = self.state.log_lik
-        self._sources.append(source)
-        self._phases.append(self.state.phase)
         self.step += 1
 
     def run_block(self, count: int) -> None:
@@ -338,13 +339,9 @@ class _ReplicaRunner:
             self._one_step()
 
     def collect(self) -> SurrogateBatch:
-        if self._staged_inputs:
-            inputs = np.array(self._staged_inputs)
-            targets = np.array(self._staged_targets)
-        else:
-            inputs = np.empty((0, self.parameter_count))
-            targets = np.empty(0)
-        batch = SurrogateBatch(inputs, targets)
+        batch = SurrogateBatch(
+            np.array(self._staged_inputs).reshape(-1, self.parameter_count),
+            np.array(self._staged_targets))
         self._staged_inputs = []
         self._staged_targets = []
         return batch
@@ -359,8 +356,6 @@ class _ReplicaRunner:
             replica=self.index,
             samples=self._samples,
             log_liks=self._log_liks,
-            sources=np.array(self._sources),
-            phases=np.array(self._phases),
             exploit_start=self.exploit_start,
             true_evals=self.true_evals,
             surrogate_evals=self.surrogate_evals,
@@ -380,9 +375,8 @@ class _Manager:
         self.config = config
         self.rng = np.random.default_rng(config.base_seed
                                          + config.replica_count)
-        self.active = config.surrogate_prob > 0
         self.model = None
-        if self.active:
+        if config.surrogate_prob > 0:
             h1, h2 = config.surrogate_hidden
             self.model = SurrogateModel(
                 parameter_count, h1, h2,
@@ -393,7 +387,7 @@ class _Manager:
         self.swap_accepts = 0
 
     def is_boundary(self, block: int) -> bool:
-        return self.active \
+        return self.model is not None \
             and (block + 1) % self.config.blocks_per_interval == 0
 
     def sweep(self, states) -> list:
@@ -404,15 +398,14 @@ class _Manager:
         self.swap_accepts += int(accepted.sum())
         return states
 
-    def train(self, batches):
-        """Refit on this interval's rows; returns the shared snapshot."""
+    def train(self, batches) -> None:
+        """Refit the one surrogate on this interval's rows."""
         merged = SurrogateBatch.concat(batches)
         if merged.rows == 0:
             log.warning("surrogate interval yielded no true-likelihood rows; "
                         "training skipped")
         else:
             self.train_rmse.append(self.model.train(merged))
-        return self.model if self.model.train_count > 0 else None
 
 
 def _sample(config: SamplerConfig, target, parameter_count: int,
@@ -422,7 +415,7 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
     steps = config.steps_per_replica
     runners = [
         _ReplicaRunner(i, config, target, parameter_count,
-                       float(ladder.temps[i]), steps)
+                       float(ladder.temps[i]), steps, manager.model)
         for i in range(config.replica_count)
     ]
     for block in range(-(-steps // config.swap_interval)):
@@ -432,10 +425,7 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
         for runner, state in zip(runners, new_states):
             runner.state = state
         if manager.is_boundary(block):
-            snapshot = manager.train([runner.collect() for runner in runners])
-            if snapshot is not None:
-                for runner in runners:
-                    runner.model = snapshot
+            manager.train([runner.collect() for runner in runners])
     return [runner.finish() for runner in runners]
 
 
@@ -465,10 +455,8 @@ def run_target(config: SamplerConfig, target, parameter_count: int):
     estimates = np.concatenate([t.surrogate_estimates for t in traces]) \
         if traces else np.empty(0)
     tracked = np.isfinite(truths)
-    prediction_rmse = None
-    if tracked.any():
-        residual = truths[tracked] - estimates[tracked]
-        prediction_rmse = float(np.sqrt(np.mean(residual ** 2)))
+    prediction_rmse = surrogate_rmse(truths[tracked], estimates[tracked]) \
+        if tracked.any() else None
 
     report = RunReport(
         elapsed_seconds=elapsed,

@@ -6,6 +6,14 @@ by a running min-max scaler so the binary cross-entropy loss is well
 defined. The model refits incrementally each collection interval from
 its previous weights, keeping its optimizer moments, so later fits start
 warm instead of from scratch.
+
+All weights and biases sit in one flat float64 vector, in the order
+w1 (L x h1), w2 (h1 x h2), w3 (h2 x 1), b1, b2, b3, each weight matrix
+row-major; gradients come back in the same layout, and the Adam moments
+m and v are two flat vectors beside it, so one Adam step is a single
+pass of vector ops. Every fit uses the same Adam constants: step size
+ADAM_STEP_SIZE (1e-3), ADAM_BETA1 (0.9), ADAM_BETA2 (0.999) and
+ADAM_EPS (1e-8).
 """
 
 from __future__ import annotations
@@ -87,10 +95,6 @@ class SurrogateBatch:
         return self.inputs.shape[0]
 
     @classmethod
-    def empty(cls, parameter_count: int) -> "SurrogateBatch":
-        return cls(np.empty((0, parameter_count)), np.empty(0))
-
-    @classmethod
     def concat(cls, batches) -> "SurrogateBatch":
         batches = list(batches)
         if not batches:
@@ -99,12 +103,10 @@ class SurrogateBatch:
                    np.concatenate([b.targets for b in batches]))
 
 
-@dataclass(frozen=True)
-class AdamParams:
-    step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+ADAM_STEP_SIZE = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _relu(x):
@@ -118,9 +120,9 @@ def _sigmoid(x):
 class SurrogateModel:
     """[L, h1, h2, 1] network trained on scaled likelihood targets.
 
-    Weight layout: weights[k] and biases[k] for the three layers; ReLU
-    after the first two, sigmoid on the scalar output. Adam moments and
-    the step counter persist across train() calls.
+    ReLU after the first two layers, sigmoid on the scalar output. The
+    flat parameters, Adam moments and step counter persist across
+    train() calls.
     """
 
     def __init__(self, input_count: int, hidden1: int = 64, hidden2: int = 16,
@@ -129,27 +131,37 @@ class SurrogateModel:
             raise ContractError("surrogate layer sizes must be >= 1")
         self.input_count = input_count
         self._rng = np.random.default_rng(seed)
-        sizes = [(input_count, hidden1), (hidden1, hidden2), (hidden2, 1)]
-        self.weights = [self._rng.normal(0.0, math.sqrt(2.0 / fan_in),
-                                         (fan_in, fan_out))
-                        for fan_in, fan_out in sizes]
-        self.biases = [np.zeros(fan_out) for _, fan_out in sizes]
-        self._m = [np.zeros_like(w) for w in self.weights] \
-            + [np.zeros_like(b) for b in self.biases]
-        self._v = [np.zeros_like(w) for w in self.weights] \
-            + [np.zeros_like(b) for b in self.biases]
+        # (start, stop, shape) of each layer's slice of the flat vector
+        self._layout, start = [], 0
+        for shape in ((input_count, hidden1), (hidden1, hidden2),
+                      (hidden2, 1), (hidden1,), (hidden2,), (1,)):
+            self._layout.append((start, start + math.prod(shape), shape))
+            start += math.prod(shape)
+        self._params = np.zeros(start)
+        for w in self._layers()[:3]:
+            w[...] = self._rng.normal(0.0, math.sqrt(2.0 / w.shape[0]),
+                                      w.shape)
+        self._m = np.zeros_like(self._params)
+        self._v = np.zeros_like(self._params)
         self.adam_step = 0
         self.train_count = 0
         self.scaler = TargetScaler()
 
+    def _layers(self):
+        """Views (w1, w2, w3, b1, b2, b3) into the flat parameters, in
+        that order; weights are row-major over (fan_in, fan_out)."""
+        return [self._params[start:stop].reshape(shape)
+                for start, stop, shape in self._layout]
+
     # -- forward ---------------------------------------------------------
 
     def _forward(self, inputs):
-        z1 = inputs @ self.weights[0] + self.biases[0]
+        w1, w2, w3, b1, b2, b3 = self._layers()
+        z1 = inputs @ w1 + b1
         a1 = _relu(z1)
-        z2 = a1 @ self.weights[1] + self.biases[1]
+        z2 = a1 @ w2 + b2
         a2 = _relu(z2)
-        z3 = a2 @ self.weights[2] + self.biases[2]
+        z3 = a2 @ w3 + b3
         return z1, a1, z2, a2, _sigmoid(z3)
 
     def predict_scaled(self, inputs) -> np.ndarray:
@@ -172,38 +184,37 @@ class SurrogateModel:
 
     # -- training --------------------------------------------------------
 
-    def _adam_update(self, grads, adam: AdamParams):
+    def _adam_update(self, grad):
         self.adam_step += 1
         t = self.adam_step
-        params = self.weights + self.biases
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= adam.beta1
-            m += (1.0 - adam.beta1) * g
-            v *= adam.beta2
-            v += (1.0 - adam.beta2) * (g * g)
-            m_hat = m / (1.0 - adam.beta1 ** t)
-            v_hat = v / (1.0 - adam.beta2 ** t)
-            p -= adam.step_size * m_hat / (np.sqrt(v_hat) + adam.eps)
+        m, v = self._m, self._v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grad * grad)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        self._params -= ADAM_STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def _gradients(self, inputs, scaled_targets):
+        """Flat gradient of the mean cross-entropy, in the _layers layout."""
         n = inputs.shape[0]
+        _, w2, w3 = self._layers()[:3]
         z1, a1, z2, a2, out = self._forward(inputs)
         # mean binary cross-entropy with sigmoid output: dJ/dz3 = (out - y)/n
         d_z3 = (out - scaled_targets[:, None]) / n
         g_w3 = a2.T @ d_z3
         g_b3 = d_z3.sum(axis=0)
-        d_a2 = d_z3 @ self.weights[2].T
-        d_z2 = d_a2 * (z2 > 0)
+        d_z2 = (d_z3 @ w3.T) * (z2 > 0)
         g_w2 = a1.T @ d_z2
         g_b2 = d_z2.sum(axis=0)
-        d_a1 = d_z2 @ self.weights[1].T
-        d_z1 = d_a1 * (z1 > 0)
+        d_z1 = (d_z2 @ w2.T) * (z1 > 0)
         g_w1 = inputs.T @ d_z1
         g_b1 = d_z1.sum(axis=0)
-        return [g_w1, g_w2, g_w3, g_b1, g_b2, g_b3]
+        return np.concatenate((g_w1, g_w2, g_w3, g_b1, g_b2, g_b3), axis=None)
 
     def train(self, batch: SurrogateBatch, epochs: int = 20,
-              adam: AdamParams = AdamParams(), batch_size: int = 32) -> float:
+              batch_size: int = 32) -> float:
         """Fit on one collected batch; returns RMSE on its scaled targets.
 
         The running scaler widens to cover the new targets first, then
@@ -222,8 +233,7 @@ class SurrogateModel:
             order = self._rng.permutation(n)
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
-                grads = self._gradients(inputs[idx], scaled[idx])
-                self._adam_update(grads, adam)
+                self._adam_update(self._gradients(inputs[idx], scaled[idx]))
         self.train_count += 1
         residual = self.predict_scaled(inputs) - scaled
         return float(np.sqrt(np.mean(residual ** 2)))
@@ -249,9 +259,6 @@ class LikelihoodHistory:
         if not self._values:
             raise ContractError("likelihood history is empty")
         return sum(self._values) / len(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 def blend(l_surrogate: float, history: LikelihoodHistory) -> float:

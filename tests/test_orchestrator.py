@@ -28,6 +28,7 @@ from sapt.tempering import (
 )
 
 import _bnn_reference
+import _surrogate_reference
 from _targets import FailingTarget, QuadraticTarget
 
 DIM = 3
@@ -417,3 +418,23 @@ class TestLeanKernelChains:
         for a, b in zip(lean.traces, reference.traces):
             assert np.array_equal(a.samples, b.samples)
             assert np.array_equal(a.log_liks, b.log_liks)
+
+
+class TestFlatSurrogateChains:
+    def test_chains_match_reference_surrogate(self, iris, monkeypatch):
+        """A surrogate run samples the same chains with the flat-vector
+        surrogate as with the frozen per-layer reference."""
+        cfg = small_config(total_samples=600, swap_interval=10,
+                           surrogate_interval=40, surrogate_prob=0.5)
+        topo = NetworkTopology(4, 5, 3)
+        flat, flat_report = run(cfg, iris[1], topo)
+        monkeypatch.setattr(orchestrator, "SurrogateModel",
+                            _surrogate_reference.SurrogateModel)
+        reference, reference_report = run(cfg, iris[1], topo)
+        assert flat_report.surrogate_evals > 0
+        assert flat_report.train_rmse == reference_report.train_rmse
+        for a, b in zip(flat.traces, reference.traces, strict=True):
+            assert np.array_equal(a.samples, b.samples)
+            assert np.array_equal(a.log_liks, b.log_liks)
+            assert np.array_equal(a.surrogate_estimates,
+                                  b.surrogate_estimates)

@@ -2,9 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import sapt.surrogate as surrogate
 from sapt.exceptions import ContractError
 from sapt.surrogate import (
-    AdamParams,
     LikelihoodHistory,
     SurrogateBatch,
     SurrogateModel,
@@ -12,6 +12,8 @@ from sapt.surrogate import (
     blend,
     surrogate_rmse,
 )
+
+import _surrogate_reference
 
 
 def batch_from(fn, thetas):
@@ -61,7 +63,7 @@ class TestTargetScaler:
 
 class TestSurrogateBatch:
     def test_rows_and_empty(self):
-        b = SurrogateBatch.empty(99)
+        b = SurrogateBatch(np.empty((0, 99)), np.empty(0))
         assert b.rows == 0
         assert b.inputs.shape == (0, 99)
 
@@ -99,7 +101,7 @@ class TestSurrogateModel:
     def test_train_rejects_empty_batch(self):
         model = SurrogateModel(2, seed=0)
         with pytest.raises(ContractError):
-            model.train(SurrogateBatch.empty(2))
+            model.train(SurrogateBatch(np.empty((0, 2)), np.empty(0)))
 
     def test_constant_target_converges(self):
         rng = np.random.default_rng(3)
@@ -152,18 +154,42 @@ class TestSurrogateModel:
         npt.assert_array_equal(runs[0], runs[1])
 
     def test_adam_defaults(self):
-        adam = AdamParams()
-        assert (adam.step_size, adam.beta1, adam.beta2, adam.eps) == \
+        assert (surrogate.ADAM_STEP_SIZE, surrogate.ADAM_BETA1,
+                surrogate.ADAM_BETA2, surrogate.ADAM_EPS) == \
             (1e-3, 0.9, 0.999, 1e-8)
+
+
+class TestFlatModelMatchesReference:
+    """The flat-vector model gives the same bits as the frozen per-layer
+    reference: same initial draws, same gradients in the same layout,
+    same Adam arithmetic per element."""
+
+    # 45 rows leave a last mini-batch of 13; one row is a batch of one
+    @pytest.mark.parametrize("rows", [1, 45, 64])
+    def test_predictions_equal_after_training(self, rows):
+        rng = np.random.default_rng(rows)
+        thetas = rng.normal(size=(rows, 6))
+        held = rng.normal(size=(20, 6))
+        flat = SurrogateModel(6, hidden1=16, hidden2=8, seed=4)
+        ref = _surrogate_reference.SurrogateModel(6, hidden1=16, hidden2=8,
+                                                  seed=4)
+        assert np.array_equal(flat.predict_scaled(held),
+                              ref.predict_scaled(held))
+        for fit in range(1, 4):
+            batch = batch_from(sphere, thetas + 0.1 * fit)
+            assert flat.train(batch, epochs=3) == ref.train(batch, epochs=3)
+            if fit in (1, 3):
+                assert np.array_equal(flat.predict_scaled(held),
+                                      ref.predict_scaled(held))
+                assert flat.predict(held[0]) == ref.predict(held[0])
+        assert flat.adam_step == ref.adam_step
 
 
 class TestHistoryAndBlend:
     def test_ring_of_three(self):
         h = LikelihoodHistory()
-        assert len(h) == 0
         for v in [-1.0, -2.0, -3.0, -4.0]:
             h.push(v)
-        assert len(h) == 3
         npt.assert_allclose(h.mean(), -3.0, rtol=1e-15)
 
     def test_mean_during_warmup(self):
