@@ -19,7 +19,8 @@ shorter than 8 elements in sequence, so the column adds give the bits of
 np.sum(axis=-1); from 8 elements on it sums pairwise, so the kernel
 keeps the axis sum there. Every function therefore returns the same bits
 as the plain formulas (kept in tests/_bnn_reference.py), and a seed gives
-the same chains whichever computed them.
+the same chains whichever computed them. log_likelihood_and_gradient
+gives both from one pass; BnnPosterior remembers its last two results.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def check_theta(theta: np.ndarray, topology: NetworkTopology) -> np.ndarray:
             f"parameter vector has shape {theta.shape}, expected "
             f"({topology.parameter_count},) for {topology}"
         )
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ContractError("parameter vector has non-finite entries")
     return theta
 
@@ -103,9 +104,7 @@ def unpack(theta: np.ndarray, topology: NetworkTopology):
 
 def pack(w, del_h, v, del_o) -> np.ndarray:
     """Inverse of unpack: flatten layer arrays back into one vector."""
-    return np.concatenate([
-        np.ravel(w), np.ravel(del_h), np.ravel(v), np.ravel(del_o),
-    ]).astype(np.float64)
+    return np.concatenate((w, del_h, v, del_o), axis=None, dtype=np.float64)
 
 
 # From this many classes on, numpy's last-axis sum is pairwise rather
@@ -177,14 +176,6 @@ def forward_batch(theta: np.ndarray, features: np.ndarray,
     return _outputs(_hidden(w, del_h, features), v, del_o)
 
 
-def forward(theta: np.ndarray, x: np.ndarray, topology: NetworkTopology) -> np.ndarray:
-    """Pre-softmax output vector for a single input row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractError(f"expected a 1-d input row, got shape {x.shape}")
-    return forward_batch(theta, x[None, :], topology)[0]
-
-
 def class_probabilities(theta: np.ndarray, features: np.ndarray,
                         topology: NetworkTopology) -> np.ndarray:
     return _softmax_inplace(forward_batch(theta, features, topology))
@@ -202,17 +193,16 @@ def log_likelihood(theta: np.ndarray, dataset, topology: NetworkTopology) -> flo
     e, row_sum = _exp_shifted_inplace(
         forward_batch(theta, dataset.features, topology))
     # only the label column is normalized
-    picked = e[np.arange(n), dataset.labels]
+    picked = e[dataset.row_index, dataset.labels]
     picked /= row_sum
-    np.maximum(picked, PROB_FLOOR, out=picked)
-    np.log(picked, out=picked)
+    np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
     return float(np.sum(picked))
 
 
 def log_prior(theta: np.ndarray, prior: PriorConfig) -> float:
     """Gaussian log-prior -(L/2) log(sigma^2) - |theta|^2 / (2 sigma^2)."""
     theta = np.asarray(theta, dtype=np.float64)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ContractError("log_prior requires finite parameters")
     length = theta.size
     quad = float(theta @ theta)
@@ -246,6 +236,21 @@ def _backprop(theta, dataset, topology, d_out_of):
     return pack(g_w, g_del_h, g_v, g_del_o)
 
 
+def log_likelihood_and_gradient(theta: np.ndarray, dataset,
+                                topology: NetworkTopology):
+    """(log_likelihood, log_likelihood_gradient) from one pass; the label
+    column of the normalized softmax has log_likelihood's picked bits."""
+    picked = None
+
+    def d_out_of(probs):
+        nonlocal picked
+        picked = probs[dataset.row_index, dataset.labels]
+        return np.subtract(dataset.one_hot, probs, out=probs)
+    grad = _backprop(theta, dataset, topology, d_out_of)
+    np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
+    return float(np.sum(picked)), grad
+
+
 def log_likelihood_gradient(theta: np.ndarray, dataset,
                             topology: NetworkTopology) -> np.ndarray:
     """Gradient of log_likelihood in vector layout (softmax cross-entropy).
@@ -254,9 +259,7 @@ def log_likelihood_gradient(theta: np.ndarray, dataset,
     is ignored: the gradient is that of the unclamped log-likelihood.
     This is the gradient the Langevin drift proposal climbs.
     """
-    return _backprop(theta, dataset, topology,
-                     lambda probs: np.subtract(dataset.one_hot, probs,
-                                               out=probs))
+    return log_likelihood_and_gradient(theta, dataset, topology)[1]
 
 
 def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.ndarray:
@@ -295,7 +298,14 @@ class BnnPosterior:
     object with those methods (e.g. an analytic toy density in tests)
     can stand in for the network posterior. sse_gradient is the
     squared-error gradient, kept for diagnostics; no sampler calls it.
+
+    A drift step needs gradients at theta and its proposal, then the
+    proposal's likelihood: one fused pass gives both, remembered for the
+    MEMO_SIZE points used last, keyed by theta's exact shape and bytes.
+    The values are the module functions' bits; gradients are read-only.
     """
+
+    MEMO_SIZE = 2  # the current point and its proposal
 
     def __init__(self, topology: NetworkTopology, dataset, prior: PriorConfig):
         if dataset.features.shape[1] != topology.input_count:
@@ -311,9 +321,20 @@ class BnnPosterior:
         self.topology = topology
         self.dataset = dataset
         self.prior = prior
+        self._memo = {}  # key -> (value, gradient), least recent first
+
+    def _recall(self, theta: np.ndarray):
+        """(key, remembered pair or None); a hit becomes the newest."""
+        theta = np.asarray(theta, dtype=np.float64)
+        key = (theta.shape, theta.tobytes())
+        if key in self._memo:
+            self._memo[key] = self._memo.pop(key)
+        return key, self._memo.get(key)
 
     def log_likelihood(self, theta: np.ndarray) -> float:
-        return log_likelihood(theta, self.dataset, self.topology)
+        pair = self._recall(theta)[1] if self._memo else None
+        return pair[0] if pair else log_likelihood(theta, self.dataset,
+                                                   self.topology)
 
     def log_prior(self, theta: np.ndarray) -> float:
         return log_prior(theta, self.prior)
@@ -322,7 +343,15 @@ class BnnPosterior:
         return sse_gradient(theta, self.dataset, self.topology)
 
     def log_likelihood_gradient(self, theta: np.ndarray) -> np.ndarray:
-        return log_likelihood_gradient(theta, self.dataset, self.topology)
+        key, pair = self._recall(theta)
+        if pair is None:
+            pair = log_likelihood_and_gradient(theta, self.dataset,
+                                               self.topology)
+            pair[1].setflags(write=False)
+            self._memo[key] = pair
+            if len(self._memo) > self.MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+        return pair[1]
 
     def log_prior_gradient(self, theta: np.ndarray) -> np.ndarray:
         return log_prior_gradient(theta, self.prior)

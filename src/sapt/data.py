@@ -42,6 +42,7 @@ class Dataset:
             raise ContractError("features, labels and one-hot row counts differ")
         if self.labels.min() < 0 or self.labels.max() >= k:
             raise ContractError("labels outside 0..K-1")
+        object.__setattr__(self, "row_index", np.arange(n))  # built once
 
     @property
     def sample_count(self) -> int:

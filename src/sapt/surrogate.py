@@ -138,7 +138,8 @@ class SurrogateModel:
             self._layout.append((start, start + math.prod(shape), shape))
             start += math.prod(shape)
         self._params = np.zeros(start)
-        for w in self._layers()[:3]:
+        self._views = self._layers()
+        for w in self._views[:3]:
             w[...] = self._rng.normal(0.0, math.sqrt(2.0 / w.shape[0]),
                                       w.shape)
         self._m = np.zeros_like(self._params)
@@ -149,14 +150,23 @@ class SurrogateModel:
 
     def _layers(self):
         """Views (w1, w2, w3, b1, b2, b3) into the flat parameters, in
-        that order; weights are row-major over (fan_in, fan_out)."""
-        return [self._params[start:stop].reshape(shape)
-                for start, stop, shape in self._layout]
+        that order; weights are row-major over (fan_in, fan_out). Built
+        once as _views, since _params is only ever updated in place, and
+        left out of pickles, which would copy them apart from _params."""
+        return tuple(self._params[start:stop].reshape(shape)
+                     for start, stop, shape in self._layout)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_views"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._views = self._layers()
 
     # -- forward ---------------------------------------------------------
 
     def _forward(self, inputs):
-        w1, w2, w3, b1, b2, b3 = self._layers()
+        w1, w2, w3, b1, b2, b3 = self._views
         z1 = inputs @ w1 + b1
         a1 = _relu(z1)
         z2 = a1 @ w2 + b2
@@ -199,7 +209,7 @@ class SurrogateModel:
     def _gradients(self, inputs, scaled_targets):
         """Flat gradient of the mean cross-entropy, in the _layers layout."""
         n = inputs.shape[0]
-        _, w2, w3 = self._layers()[:3]
+        _, w2, w3 = self._views[:3]
         z1, a1, z2, a2, out = self._forward(inputs)
         # mean binary cross-entropy with sigmoid output: dJ/dz3 = (out - y)/n
         d_z3 = (out - scaled_targets[:, None]) / n

@@ -9,9 +9,9 @@ from sapt.bnn import (
     PriorConfig,
     check_theta,
     class_probabilities,
-    forward,
     forward_batch,
     log_likelihood,
+    log_likelihood_and_gradient,
     log_likelihood_gradient,
     log_prior,
     log_prior_gradient,
@@ -21,6 +21,7 @@ from sapt.bnn import (
     sse_gradient,
     unpack,
 )
+from sapt import bnn
 from sapt.data import load_csv, make_dataset, registry_entry, resolve_data_file
 from sapt.exceptions import ContractError
 
@@ -34,6 +35,11 @@ TOPO_222 = NetworkTopology(2, 2, 2)
 F_222 = np.array([0.45977834517017247, -0.16386519248468056])
 SOFTMAX_222 = np.array([0.65104676011057196, 0.34895323988942804])
 LOGLIK_222_LABEL0 = -0.42917381122624555
+
+
+def forward(theta, x, topology):
+    """Pre-softmax outputs for one input row."""
+    return forward_batch(theta, np.asarray(x)[None, :], topology)[0]
 
 
 def one_row_dataset(x, label, class_count):
@@ -287,6 +293,90 @@ class TestBnnPosterior:
             BnnPosterior(NetworkTopology(3, 2, 2), tiny_dataset, PriorConfig())
 
 
+class TestPosteriorMemo:
+    """BnnPosterior remembers (log-likelihood, gradient) of the two
+    points it used last and serves the module functions' bits."""
+
+    @pytest.fixture
+    def post(self, tiny_dataset, tiny_topology):
+        return BnnPosterior(tiny_topology, tiny_dataset, PriorConfig())
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Thetas handed to the fused pass, in call order."""
+        seen = []
+        fused = bnn.log_likelihood_and_gradient
+
+        def counted(theta, dataset, topology):
+            seen.append(np.array(theta))
+            return fused(theta, dataset, topology)
+        monkeypatch.setattr(bnn, "log_likelihood_and_gradient", counted)
+        return seen
+
+    def thetas(self, count, tiny_topology):
+        rng = np.random.default_rng(11)
+        return [rng.normal(size=tiny_topology.parameter_count)
+                for _ in range(count)]
+
+    def test_served_values_equal_module_functions(self, post, passes,
+                                                  tiny_dataset, tiny_topology):
+        a, = self.thetas(1, tiny_topology)
+        first = post.log_likelihood_gradient(a)
+        again = post.log_likelihood_gradient(a.copy())
+        value = post.log_likelihood(a.copy())
+        assert len(passes) == 1
+        assert again is first
+        assert value == log_likelihood(a, tiny_dataset, tiny_topology)
+        assert np.array_equal(
+            again, log_likelihood_gradient(a, tiny_dataset, tiny_topology))
+
+    def test_least_recently_used_is_evicted(self, post, passes,
+                                            tiny_topology):
+        a, b, c = self.thetas(3, tiny_topology)
+        post.log_likelihood_gradient(a)
+        post.log_likelihood_gradient(b)
+        post.log_likelihood(a)
+        post.log_likelihood_gradient(a)
+        post.log_likelihood_gradient(c)
+        assert len(passes) == 3
+        post.log_likelihood_gradient(a)
+        post.log_likelihood_gradient(c)
+        assert len(passes) == 3
+        post.log_likelihood_gradient(b)
+        assert len(passes) == 4
+
+    def test_mutated_theta_is_recomputed(self, post, passes, tiny_dataset,
+                                         tiny_topology):
+        a, = self.thetas(1, tiny_topology)
+        post.log_likelihood_gradient(a)
+        a[0] += 0.5
+        grad = post.log_likelihood_gradient(a)
+        assert len(passes) == 2
+        assert np.array_equal(
+            grad, log_likelihood_gradient(a, tiny_dataset, tiny_topology))
+        assert post.log_likelihood(a) == log_likelihood(a, tiny_dataset,
+                                                        tiny_topology)
+
+    def test_wrong_shape_raises_even_with_the_same_bytes(self, post,
+                                                         tiny_topology):
+        a, = self.thetas(1, tiny_topology)
+        post.log_likelihood_gradient(a)
+        for shaped in (a.reshape(1, -1), a.reshape(-1, 1)):
+            with pytest.raises(ContractError):
+                post.log_likelihood_gradient(shaped)
+            with pytest.raises(ContractError):
+                post.log_likelihood(shaped)
+        with pytest.raises(ContractError):
+            post.log_likelihood_gradient(a[:-1])
+
+    def test_gradient_is_read_only(self, post, tiny_topology):
+        a, = self.thetas(1, tiny_topology)
+        grad = post.log_likelihood_gradient(a)
+        with pytest.raises(ValueError):
+            grad[0] = 1.0
+        assert post.log_likelihood_gradient(a) is grad
+
+
 # Wide enough hidden layer that theta sd 30 drives some label
 # probabilities below PROB_FLOOR.
 LEAN_HIDDEN = 128
@@ -344,10 +434,19 @@ class TestLeanKernelBitIdentity:
             assert np.array_equal(sse_gradient(theta, ds, topo),
                                   ref.sse_gradient(theta, ds, topo))
 
+    def test_log_likelihood_and_gradient(self, classes, rows):
+        for sd in LEAN_SDS:
+            theta, ds, topo = lean_case(classes, rows, sd)
+            value, grad = log_likelihood_and_gradient(theta, ds, topo)
+            assert value == ref.log_likelihood(theta, ds, topo)
+            assert np.array_equal(grad,
+                                  ref.log_likelihood_gradient(theta, ds, topo))
+
     def test_inputs_unmodified(self, classes, rows):
         theta, ds, topo = lean_case(classes, rows, 5.0)
         kept = [a.copy() for a in (theta, ds.features, ds.labels, ds.one_hot)]
         log_likelihood(theta, ds, topo)
+        log_likelihood_and_gradient(theta, ds, topo)
         forward_batch(theta, ds.features, topo)
         class_probabilities(theta, ds.features, topo)
         log_likelihood_gradient(theta, ds, topo)

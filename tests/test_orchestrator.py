@@ -388,6 +388,58 @@ class TestBnnRun:
             run(cfg, tiny_dataset, NetworkTopology(5, 3, 2))
 
 
+def reference_pair(theta, dataset, topology):
+    return (_bnn_reference.log_likelihood(theta, dataset, topology),
+            _bnn_reference.log_likelihood_gradient(theta, dataset, topology))
+
+
+class PlainPosterior(BnnPosterior):
+    """BnnPosterior without its memo: every call is a fresh pass."""
+
+    def log_likelihood(self, theta):
+        return bnn.log_likelihood(theta, self.dataset, self.topology)
+
+    def log_likelihood_gradient(self, theta):
+        return bnn.log_likelihood_gradient(theta, self.dataset,
+                                           self.topology)
+
+
+class TestPosteriorMemoRuns:
+    @pytest.mark.parametrize("surrogate_prob", [0.0, 0.5])
+    def test_fewer_passes_same_chains(self, surrogate_prob, iris,
+                                      monkeypatch):
+        """With drift steps, the memo saves backward and forward passes
+        and the chains stay bit for bit those of fresh passes."""
+        counts = {"_backprop": 0, "forward_batch": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(bnn, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(bnn, name, counted)
+        topo = NetworkTopology(4, 5, 3)
+        cfg = small_config(
+            total_samples=480, swap_interval=10, surrogate_interval=40,
+            surrogate_prob=surrogate_prob,
+            proposal=ProposalConfig(kind=KIND_LANGEVIN_MIX))
+        runs = {}
+        for kind in (BnnPosterior, PlainPosterior):
+            for name in counts:
+                counts[name] = 0
+            target = kind(topo, iris[1], cfg.prior)
+            runs[kind] = (run_target(cfg, target, topo.parameter_count),
+                          dict(counts))
+        (memo, memo_report), memo_counts = runs[BnnPosterior]
+        (plain, plain_report), plain_counts = runs[PlainPosterior]
+        assert not memo_report.partial and not plain_report.partial
+        for name in counts:
+            assert 0 < memo_counts[name] < plain_counts[name], name
+        for a, b in zip(memo.traces, plain.traces, strict=True):
+            assert np.array_equal(a.samples, b.samples)
+            assert np.array_equal(a.log_liks, b.log_liks)
+            assert np.array_equal(a.surrogate_estimates,
+                                  b.surrogate_estimates)
+
+
 class TestLeanKernelChains:
     """Chains sampled with the lean likelihood kernel equal, bit for bit,
     those sampled with the reference formulas, below and above the
@@ -411,8 +463,10 @@ class TestLeanKernelChains:
             proposal=ProposalConfig(kind=KIND_LANGEVIN_MIX))
         lean, lean_report = run(cfg, ds, topo)
         # the two kernels a run calls; BnnPosterior looks them up in bnn
-        for name in ("log_likelihood", "log_likelihood_gradient"):
-            monkeypatch.setattr(bnn, name, getattr(_bnn_reference, name))
+        monkeypatch.setattr(bnn, "log_likelihood",
+                            _bnn_reference.log_likelihood)
+        monkeypatch.setattr(bnn, "log_likelihood_and_gradient",
+                            reference_pair)
         reference, reference_report = run(cfg, ds, topo)
         assert not lean_report.partial and not reference_report.partial
         for a, b in zip(lean.traces, reference.traces):
