@@ -111,14 +111,16 @@ def posterior_accuracy(chain: PosteriorChain, train, test,
 
 
 def surrogate_report(report: RunReport) -> str:
-    """Text block describing surrogate quality, or a not-applicable stub.
+    """Text block describing surrogate quality, or a not-applicable stub
+    when the run made no refit and took no surrogate-path step.
 
     Prediction RMSE is in raw log-likelihood units; the per-interval
     training RMSE statistics are in the scaler's [0,1] units, which is
     why the two columns differ by orders of magnitude.
     """
     if report.surrogate_evals == 0 and not report.train_rmse:
-        return ("surrogate not applicable (surrogate_prob = 0)\n"
+        return ("surrogate not applicable "
+                "(no surrogate refit or surrogate-path step)\n"
                 "surrogate_prediction_rmse_raw n/a\n"
                 "surrogate_train_rmse_mean_scaled n/a\n"
                 "surrogate_train_rmse_std_scaled n/a\n")

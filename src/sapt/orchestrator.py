@@ -1,10 +1,11 @@
 """Replica-ensemble driver: tempered exploration, swaps, surrogate refits.
 
-All M replicas run in one process. Each replica runs Metropolis steps
-in blocks of swap_interval; after every block a neighbor-pair swap
+All M replicas run in one process, in one block loop that also owns
+the swap generator, the one surrogate and the run's report. Replicas
+step in blocks of swap_interval; after every block a neighbor-pair swap
 sweep runs over all of them, and at surrogate-interval boundaries the
-staged true-likelihood rows are gathered and the one surrogate is
-refitted; replicas consult it once it has trained. Once a
+staged true-likelihood rows (replica 0's first, each in step order)
+refit the surrogate; replicas consult it once it has trained. Once a
 replica's step budget crosses burn_in_fraction of its total, its
 temperature drops to 1 and recorded samples switch to the exploit
 phase; only those samples enter the combined posterior.
@@ -183,16 +184,16 @@ class PosteriorChain:
 
 @dataclass
 class RunReport:
-    """Counters and timings of one run; to_text() is the emitted schema."""
+    """Run counters, filled while sampling; to_text() is the emitted schema."""
 
     elapsed_seconds: float
     replica_count: int
     steps_per_replica: int
-    true_evals: int
-    surrogate_evals: int
-    swap_attempts: int
-    swap_accepts: int
-    replica_acceptance: list
+    true_evals: int = 0
+    surrogate_evals: int = 0
+    swap_attempts: int = 0
+    swap_accepts: int = 0
+    replica_acceptance: list = field(default_factory=list)
     rescore_evals: int = 0
     train_rmse: list = field(default_factory=list)  # scaled units, per interval
     prediction_rmse: float | None = None            # raw units
@@ -259,7 +260,6 @@ class _ReplicaRunner:
         self.index = index
         self.config = config
         self.target = target
-        self.parameter_count = parameter_count
         self.max_steps = max_steps
         self.exploit_start = int(config.burn_in_fraction * max_steps)
         self.rng = np.random.default_rng(config.base_seed + index)
@@ -275,8 +275,7 @@ class _ReplicaRunner:
         # filled row by row, so a run keeps no per-step theta arrays alive
         self._samples = np.empty((max_steps, parameter_count))
         self._log_liks = np.empty(max_steps)
-        self._staged_inputs: list = []
-        self._staged_targets: list = []
+        self._staged: list = []    # (proposal, true log_lik) since last refit
         self._surr_steps: list = []
         self._surr_estimates: list = []
         self._surr_truths: list = []
@@ -323,8 +322,7 @@ class _ReplicaRunner:
             truth = None
             evaluated = self.target.log_likelihood(proposal)
             if s_prob > 0:
-                self._staged_inputs.append(proposal)
-                self._staged_targets.append(evaluated)
+                self._staged.append((proposal, evaluated))
             self.true_evals += 1
         self.state = metropolis_step(self.state, proposal, log_q, self.target,
                                      self.rng, proposal_log_lik=evaluated,
@@ -333,18 +331,6 @@ class _ReplicaRunner:
         self._samples[s] = self.state.theta
         self._log_liks[s] = self.state.log_lik
         self.step += 1
-
-    def run_block(self, count: int) -> None:
-        for _ in range(count):
-            self._one_step()
-
-    def collect(self) -> SurrogateBatch:
-        batch = SurrogateBatch(
-            np.array(self._staged_inputs).reshape(-1, self.parameter_count),
-            np.array(self._staged_targets))
-        self._staged_inputs = []
-        self._staged_targets = []
-        return batch
 
     def finish(self) -> ReplicaTrace:
         if self.step != self.max_steps:
@@ -368,64 +354,49 @@ class _ReplicaRunner:
         )
 
 
-class _Manager:
-    """Swap and surrogate bookkeeping of one run."""
-
-    def __init__(self, config: SamplerConfig, parameter_count: int):
-        self.config = config
-        self.rng = np.random.default_rng(config.base_seed
-                                         + config.replica_count)
-        self.model = None
-        if config.surrogate_prob > 0:
-            h1, h2 = config.surrogate_hidden
-            self.model = SurrogateModel(
-                parameter_count, h1, h2,
-                seed=config.base_seed + config.replica_count + 1,
-            )
-        self.train_rmse: list = []
-        self.swap_attempts = 0
-        self.swap_accepts = 0
-
-    def is_boundary(self, block: int) -> bool:
-        return self.model is not None \
-            and (block + 1) % self.config.blocks_per_interval == 0
-
-    def sweep(self, states) -> list:
-        """swap_sweep on the manager's stream, counting its decisions."""
-        states, accepted = swap_sweep(states, self.rng)
-        # a pair is attempted unless its lower member just swapped
-        self.swap_attempts += len(accepted) - int(accepted[:-1].sum())
-        self.swap_accepts += int(accepted.sum())
-        return states
-
-    def train(self, batches) -> None:
-        """Refit the one surrogate on this interval's rows."""
-        merged = SurrogateBatch.concat(batches)
-        if merged.rows == 0:
-            log.warning("surrogate interval yielded no true-likelihood rows; "
-                        "training skipped")
-        else:
-            self.train_rmse.append(self.model.train(merged))
-
-
 def _sample(config: SamplerConfig, target, parameter_count: int,
-            manager: _Manager) -> list:
-    """Step every replica block by block; returns their traces."""
+            report: RunReport) -> list:
+    """Step every replica block by block; returns their traces.
+
+    Swap counts and refit RMSEs go into report as they happen, so a run
+    that fails part way still reports them.
+    """
+    seed = config.base_seed + config.replica_count
+    swap_rng = np.random.default_rng(seed)
+    surrogate = None
+    if config.surrogate_prob > 0:
+        surrogate = SurrogateModel(parameter_count, *config.surrogate_hidden,
+                                   seed=seed + 1)
     ladder = build_ladder(config.replica_count, config.max_temp)
     steps = config.steps_per_replica
     runners = [
         _ReplicaRunner(i, config, target, parameter_count,
-                       float(ladder.temps[i]), steps, manager.model)
+                       float(ladder.temps[i]), steps, surrogate)
         for i in range(config.replica_count)
     ]
     for block in range(-(-steps // config.swap_interval)):
         for runner in runners:
-            runner.run_block(min(config.swap_interval, steps - runner.step))
-        new_states = manager.sweep([runner.state for runner in runners])
-        for runner, state in zip(runners, new_states):
+            for _ in range(min(config.swap_interval, steps - runner.step)):
+                runner._one_step()
+        states, accepted = swap_sweep([runner.state for runner in runners],
+                                      swap_rng)
+        for runner, state in zip(runners, states):
             runner.state = state
-        if manager.is_boundary(block):
-            manager.train([runner.collect() for runner in runners])
+        # a pair is attempted unless its lower member just swapped
+        report.swap_attempts += len(accepted) - int(accepted[:-1].sum())
+        report.swap_accepts += int(accepted.sum())
+        if surrogate is None or (block + 1) % config.blocks_per_interval:
+            continue
+        rows = [row for runner in runners for row in runner._staged]
+        for runner in runners:
+            runner._staged = []
+        if rows:
+            inputs, targets = zip(*rows)
+            report.train_rmse.append(surrogate.train(
+                SurrogateBatch(np.array(inputs), np.array(targets))))
+        else:
+            log.warning("surrogate interval yielded no true-likelihood "
+                        "rows; training skipped")
     return [runner.finish() for runner in runners]
 
 
@@ -435,44 +406,36 @@ def run_target(config: SamplerConfig, target, parameter_count: int):
 
     Returns (PosteriorChain, RunReport). An exception raised while
     sampling is logged with its traceback and ends the run: the chain
-    then holds no traces and the report is partial, naming the failure.
+    then holds no traces and the report is partial, naming the failure;
+    it keeps the swap counts and refit RMSEs gathered until then.
     """
     if parameter_count < 1:
         raise ConfigError("parameter_count must be >= 1")
-    manager = _Manager(config, parameter_count)
+    report = RunReport(elapsed_seconds=0.0,
+                       replica_count=config.replica_count,
+                       steps_per_replica=config.steps_per_replica)
     started = time.perf_counter()
     try:
-        traces = _sample(config, target, parameter_count, manager)
-        failure = ""
+        traces = _sample(config, target, parameter_count, report)
     except Exception as exc:
         log.exception("sampling failed; the report is partial")
         traces = []
-        failure = f"{type(exc).__name__}: {exc}"
-    elapsed = time.perf_counter() - started
+        report.partial = True
+        report.failure = f"{type(exc).__name__}: {exc}"
+    report.elapsed_seconds = time.perf_counter() - started
 
     truths = np.concatenate([t.surrogate_truths for t in traces]) \
         if traces else np.empty(0)
     estimates = np.concatenate([t.surrogate_estimates for t in traces]) \
         if traces else np.empty(0)
     tracked = np.isfinite(truths)
-    prediction_rmse = surrogate_rmse(truths[tracked], estimates[tracked]) \
-        if tracked.any() else None
-
-    report = RunReport(
-        elapsed_seconds=elapsed,
-        replica_count=config.replica_count,
-        steps_per_replica=config.steps_per_replica,
-        true_evals=sum(t.true_evals for t in traces),
-        surrogate_evals=sum(t.surrogate_evals for t in traces),
-        rescore_evals=sum(t.rescore_evals for t in traces),
-        swap_attempts=manager.swap_attempts,
-        swap_accepts=manager.swap_accepts,
-        replica_acceptance=[t.acceptance_rate for t in traces],
-        train_rmse=list(manager.train_rmse),
-        prediction_rmse=prediction_rmse,
-        partial=bool(failure),
-        failure=failure,
-    )
+    if tracked.any():
+        report.prediction_rmse = surrogate_rmse(truths[tracked],
+                                                estimates[tracked])
+    report.true_evals = sum(t.true_evals for t in traces)
+    report.surrogate_evals = sum(t.surrogate_evals for t in traces)
+    report.rescore_evals = sum(t.rescore_evals for t in traces)
+    report.replica_acceptance = [t.acceptance_rate for t in traces]
     chain = PosteriorChain(traces=traces, parameter_count=parameter_count)
     return chain, report
 

@@ -94,14 +94,6 @@ class SurrogateBatch:
     def rows(self) -> int:
         return self.inputs.shape[0]
 
-    @classmethod
-    def concat(cls, batches) -> "SurrogateBatch":
-        batches = list(batches)
-        if not batches:
-            raise ContractError("concat of zero batches")
-        return cls(np.concatenate([b.inputs for b in batches]),
-                   np.concatenate([b.targets for b in batches]))
-
 
 ADAM_STEP_SIZE = 1e-3
 ADAM_BETA1 = 0.9

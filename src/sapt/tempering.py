@@ -196,23 +196,22 @@ def acceptance_probability(delta_log_lik: float, temperature: float,
 def metropolis_step(state: ReplicaState, proposal: np.ndarray,
                     log_q_ratio: float, target, rng,
                     proposal_log_lik: float | None = None,
-                    proposal_log_prior: float | None = None,
                     estimate_truth: float | None = None) -> ReplicaState:
     """One tempered accept/reject decision for a replica.
 
-    Evaluates the target at the proposal unless precomputed values are
-    passed in (the surrogate path hands over its blended estimate that
-    way, with estimate_truth set to the true value there, or nan when
-    it was not measured). On acceptance the returned state carries the
-    proposal and its cached values, flagged as an estimate when
-    estimate_truth was given; on rejection only proposed_count changes,
-    so the caller's chain records the previous sample again. A
-    non-finite acceptance exponent rejects and logs a diagnostic.
+    Evaluates the target's likelihood at the proposal unless a
+    precomputed value is passed in (the surrogate path hands over its
+    blended estimate that way, with estimate_truth set to the true
+    value there, or nan when it was not measured). On acceptance the
+    returned state carries the proposal and its cached values, flagged
+    as an estimate when estimate_truth was given; on rejection only
+    proposed_count changes, so the caller's chain records the previous
+    sample again. A non-finite acceptance exponent rejects and logs a
+    diagnostic.
     """
     prop_ll = float(proposal_log_lik) if proposal_log_lik is not None \
         else target.log_likelihood(proposal)
-    prop_lp = float(proposal_log_prior) if proposal_log_prior is not None \
-        else target.log_prior(proposal)
+    prop_lp = target.log_prior(proposal)
     prob = acceptance_probability(prop_ll - state.log_lik, state.temperature,
                                   prop_lp - state.log_prior, log_q_ratio)
     u = rng.uniform()

@@ -125,6 +125,18 @@ class TestReports:
         assert "not applicable" in text
         assert "surrogate_prediction_rmse_raw n/a" in text
 
+    def test_stub_when_budget_ends_before_first_refit(self):
+        # surrogate_prob > 0, but 40 steps per replica end before the
+        # first refit at step 50: the stub must not blame surrogate_prob
+        cfg = SamplerConfig(replica_count=2, total_samples=80,
+                            swap_interval=10, surrogate_interval=50,
+                            surrogate_prob=0.5, base_seed=3)
+        _, report = run_target(cfg, QuadraticTarget(center=[0.5, -0.5]), 2)
+        assert report.train_rmse == [] and report.surrogate_evals == 0
+        assert surrogate_report(report).splitlines()[0] == (
+            "surrogate not applicable "
+            "(no surrogate refit or surrogate-path step)")
+
     def test_surrogate_block(self, surrogate_chain):
         _, report = surrogate_chain
         text = surrogate_report(report)

@@ -352,6 +352,43 @@ class TestSurrogatePath:
         for rmse in report.train_rmse:
             assert 0.0 <= rmse < 1.0
 
+    def test_training_rows_in_runner_then_step_order(self, monkeypatch):
+        """Each refit gets every runner's true-path rows since the last
+        one: runner 0's first, each runner's in step order."""
+        staged = {}     # a runner's rng -> its (proposal, log_lik) rows
+        original_step = orchestrator.metropolis_step
+
+        def recording(state, proposal, log_q, tgt, rng, **kw):
+            rows = staged.setdefault(rng, [])
+            if kw.get("estimate_truth") is None:
+                rows.append((proposal.copy(), kw["proposal_log_lik"]))
+            return original_step(state, proposal, log_q, tgt, rng, **kw)
+
+        batch_rows = []
+        original_train = orchestrator.SurrogateModel.train
+
+        def capturing(model, batch, *args, **kwargs):
+            batch_rows.append(batch.rows)
+            expected = [row for rows in staged.values() for row in rows]
+            for rows in staged.values():
+                rows.clear()
+            npt.assert_array_equal(batch.inputs,
+                                   np.array([x for x, _ in expected]))
+            npt.assert_array_equal(batch.targets,
+                                   np.array([y for _, y in expected]))
+            return original_train(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "metropolis_step", recording)
+        monkeypatch.setattr(orchestrator.SurrogateModel, "train", capturing)
+        cfg = small_config(total_samples=1800, swap_interval=10,
+                           surrogate_interval=30, surrogate_prob=0.5)
+        _, report = run_target(cfg, quad_target(), DIM)
+        # runner 0 steps first, so staged holds the runners in order
+        assert len(staged) == 3
+        assert len(batch_rows) == len(report.train_rmse) == 600 // 30
+        assert batch_rows[0] == 3 * 30
+        assert report.surrogate_evals > 0
+
     def test_surrogate_steps_recorded(self):
         cfg = self.surrogate_cfg()
         chain, report = run_target(cfg, quad_target(), DIM)
@@ -368,9 +405,27 @@ class TestFailurePaths:
         target = FailingTarget(center=CENTER, fail_after=50)
         chain, report = run_target(cfg, target, DIM)
         assert report.partial
-        assert "gave up" in report.failure or "worker" in report.failure
+        assert report.failure == "RuntimeError: likelihood backend gave up"
         assert "partial true" in report.to_text()
         assert chain.traces == []
+
+    def test_partial_report_keeps_swap_and_refit_counters(self):
+        # 453 likelihood calls make the first three intervals of 50
+        # steps; the fourth fails part way
+        cfg = small_config(total_samples=1800, swap_interval=25,
+                           surrogate_interval=50, surrogate_prob=0.5)
+        target = FailingTarget(center=CENTER, fail_after=500)
+        chain, report = run_target(cfg, target, DIM)
+        assert report.partial
+        assert report.swap_attempts > 0
+        assert len(report.train_rmse) == 3
+        assert report.true_evals == 0
+        assert chain.traces == []
+        text = report.to_text().splitlines()
+        assert f"swap_attempts {report.swap_attempts}" in text
+        assert f"swap_accepts {report.swap_accepts}" in text
+        for k, rmse in enumerate(report.train_rmse, start=1):
+            assert f"surrogate_train_rmse_interval{k} {rmse:.8g}" in text
 
 
 class TestBnnRun:

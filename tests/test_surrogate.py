@@ -67,17 +67,6 @@ class TestSurrogateBatch:
         assert b.rows == 0
         assert b.inputs.shape == (0, 99)
 
-    def test_concat(self):
-        a = batch_from(sphere, [[1.0, 0.0]])
-        b = batch_from(sphere, [[0.0, 2.0], [1.0, 1.0]])
-        c = SurrogateBatch.concat([a, b])
-        assert c.rows == 3
-        npt.assert_array_equal(c.targets, [-1.0, -4.0, -2.0])
-
-    def test_concat_zero_batches(self):
-        with pytest.raises(ContractError):
-            SurrogateBatch.concat([])
-
     def test_validation(self):
         with pytest.raises(ContractError):
             SurrogateBatch(np.zeros(3), np.zeros(3))

@@ -216,8 +216,7 @@ class TestMetropolisStep:
         state = make_state([0.0], 1.0, target)
         new = metropolis_step(state, np.array([0.5]), 0.0, Exploding(),
                               np.random.default_rng(23),
-                              proposal_log_lik=state.log_lik + 5.0,
-                              proposal_log_prior=state.log_prior)
+                              proposal_log_lik=state.log_lik + 5.0)
         assert new.accepted_count == 1
         assert new.log_lik == state.log_lik + 5.0
 
