@@ -51,6 +51,13 @@ MATRIX = [
       for interval in (50, 150) for track in (True, False)],
     ("nine-class/lg_prob1", "nine-class", 1000,
      {"lg_prob": 1.0, "surrogate_prob": 0.5}),
+    # 2010 steps per replica: the last block has 10 steps, then a refit
+    ("cancer-surrogate/remainder-block", "cancer-surrogate", 1000,
+     {"total_samples": 4 * 2010}),
+    # every step after the first refit takes the surrogate path, so later
+    # intervals stage no rows and skip training
+    ("cancer-surrogate/prob1-untracked", "cancer-surrogate", 1000,
+     {"surrogate_prob": 1.0, "track_surrogate_truth": False}),
 ]
 
 

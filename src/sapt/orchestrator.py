@@ -8,7 +8,9 @@ staged true-likelihood rows (replica 0's first, each in step order)
 refit the surrogate; replicas consult it once it has trained. Once a
 replica's step budget crosses burn_in_fraction of its total, its
 temperature drops to 1 and recorded samples switch to the exploit
-phase; only those samples enter the combined posterior.
+phase; only those samples enter the combined posterior. The RunReport
+and one ReplicaTrace per replica are the run's only records, written
+while it samples, so a run that fails part way keeps every counter.
 
 Determinism contract:
 
@@ -27,14 +29,14 @@ The order in which replicas step within a block never touches these
 streams, so a run is reproduced bit for bit by its seed and settings.
 
 Surrogate estimates never outlive their purpose. An accepted
-surrogate-path step leaves its estimate as the state's log_lik, which
-later surrogate-path decisions and swaps compare against. Before the
-next true-path decision the step engine re-scores that log_lik to the
-true value: the truth measured at the surrogate step
-when track_surrogate_truth is on, or one fresh likelihood call
-(counted in rescore_evals, outside true_evals) when it is off. Both
-give the same float and draw nothing, so chains do not depend on
-truth tracking.
+surrogate-path step leaves its estimate as the state's log_lik (and
+log_lik_truth not None), which later surrogate-path decisions and swaps
+compare against. Before the next true-path decision the step engine
+re-scores that log_lik to the true value: the truth measured at the
+surrogate step when track_surrogate_truth is on, or one fresh
+likelihood call (counted in rescore_evals, outside true_evals) when it
+is off. Both give the same float and draw nothing, so chains do not
+depend on truth tracking.
 """
 
 from __future__ import annotations
@@ -121,18 +123,14 @@ class SamplerConfig:
 
 @dataclass
 class ReplicaTrace:
-    """Everything one replica recorded: one row per Metropolis step."""
+    """One replica's record, one row per Metropolis step, written as it
+    steps; the surrogate_* lists become arrays when it finishes."""
 
     replica: int
     samples: np.ndarray        # steps x parameter_count
     log_liks: np.ndarray       # state log_lik after each step (an estimate
                                # while a surrogate-path state is held)
     exploit_start: int
-    true_evals: int
-    surrogate_evals: int
-    rescore_evals: int         # likelihood calls that re-scored an estimate
-    accepted_count: int
-    proposed_count: int
     surrogate_steps: np.ndarray      # step indices that took the surrogate path
     surrogate_estimates: np.ndarray  # blended values used at those steps
     surrogate_truths: np.ndarray     # true values there (nan when untracked)
@@ -140,12 +138,6 @@ class ReplicaTrace:
     @property
     def steps(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def acceptance_rate(self) -> float:
-        if self.proposed_count == 0:
-            return 0.0
-        return self.accepted_count / self.proposed_count
 
     @property
     def sources(self) -> np.ndarray:
@@ -168,10 +160,6 @@ class PosteriorChain:
     traces: list
     parameter_count: int
 
-    @property
-    def replica_count(self) -> int:
-        return len(self.traces)
-
     def combined_posterior(self, thin: int = 1) -> np.ndarray:
         """Exploit-phase samples of every replica, thinned per replica."""
         if thin < 1:
@@ -184,7 +172,8 @@ class PosteriorChain:
 
 @dataclass
 class RunReport:
-    """Run counters, filled while sampling; to_text() is the emitted schema."""
+    """Run counters, written while sampling, so a partial report holds
+    every counter a full one does; to_text() is the emitted schema."""
 
     elapsed_seconds: float
     replica_count: int
@@ -252,16 +241,15 @@ def swap_sweep(states, rng):
 
 
 class _ReplicaRunner:
-    """Step engine for one replica; surrogate is the run's one model."""
+    """Step engine for one replica: counts into the run's report and
+    records into its trace; surrogate is the run's one model."""
 
     def __init__(self, index: int, config: SamplerConfig, target,
-                 parameter_count: int, temperature: float, max_steps: int,
-                 surrogate: SurrogateModel | None):
-        self.index = index
+                 parameter_count: int, temperature: float,
+                 surrogate: SurrogateModel | None, report: RunReport):
         self.config = config
         self.target = target
-        self.max_steps = max_steps
-        self.exploit_start = int(config.burn_in_fraction * max_steps)
+        self.report = report
         self.rng = np.random.default_rng(config.base_seed + index)
         theta0 = self.rng.normal(0.0, INITIAL_THETA_SD, parameter_count)
         self.state = ReplicaState(
@@ -272,94 +260,81 @@ class _ReplicaRunner:
         self.history = LikelihoodHistory()
         self.surrogate = surrogate
         self.step = 0
-        # filled row by row, so a run keeps no per-step theta arrays alive
-        self._samples = np.empty((max_steps, parameter_count))
-        self._log_liks = np.empty(max_steps)
         self._staged: list = []    # (proposal, true log_lik) since last refit
-        self._surr_steps: list = []
-        self._surr_estimates: list = []
-        self._surr_truths: list = []
-        self.true_evals = 0
-        self.surrogate_evals = 0
-        self.rescore_evals = 0
+        # filled row by row, so a run keeps no per-step theta arrays alive
+        steps = config.steps_per_replica
+        self.trace = ReplicaTrace(
+            replica=index, samples=np.empty((steps, parameter_count)),
+            log_liks=np.empty(steps),
+            exploit_start=int(config.burn_in_fraction * steps),
+            surrogate_steps=[], surrogate_estimates=[], surrogate_truths=[])
 
     def _rescore(self) -> None:
         """Replace a held surrogate estimate by the true log-likelihood."""
         truth = self.state.log_lik_truth
         if math.isnan(truth):
             truth = self.target.log_likelihood(self.state.theta)
-            self.rescore_evals += 1
-        self.state = replace(self.state, log_lik=truth,
-                             log_lik_estimated=False, log_lik_truth=math.nan)
+            self.report.rescore_evals += 1
+        self.state = replace(self.state, log_lik=truth, log_lik_truth=None)
 
     def _one_step(self) -> None:
-        s = self.step
-        if s >= self.exploit_start and self.state.phase == PHASE_TEMPERED:
+        s, trace = self.step, self.trace
+        if s >= trace.exploit_start and self.state.phase == PHASE_TEMPERED:
             self.state = replace(self.state, temperature=1.0,
                                  phase=PHASE_EXPLOIT)
         s_prob = self.config.surrogate_prob
-        kappa = self.rng.uniform() if s_prob > 0 else None
+        # kappa is drawn only when the surrogate is on; 1.0 never passes
+        kappa = self.rng.uniform() if s_prob > 0 else 1.0
         proposal, log_q = make_proposal(self.state.theta,
                                         self.target, self.config.proposal,
                                         self.rng, self.state.temperature)
-        use_surrogate = (kappa is not None and kappa < s_prob
-                         and s >= self.config.surrogate_interval
-                         and self.surrogate.train_count > 0)
-        if use_surrogate:
+        # it first trains after every replica's surrogate_interval steps
+        if kappa < s_prob and self.surrogate.train_count > 0:
             estimate = blend(self.surrogate.predict(proposal), self.history)
             if self.config.track_surrogate_truth:
                 truth = self.target.log_likelihood(proposal)
             else:
                 truth = math.nan
-            self._surr_steps.append(s)
-            self._surr_estimates.append(estimate)
-            self._surr_truths.append(truth)
+            self.report.surrogate_evals += 1
+            trace.surrogate_steps.append(s)
+            trace.surrogate_estimates.append(estimate)
+            trace.surrogate_truths.append(truth)
             evaluated = estimate
-            self.surrogate_evals += 1
         else:
-            if self.state.log_lik_estimated:
+            if self.state.log_lik_truth is not None:
                 self._rescore()
             truth = None
             evaluated = self.target.log_likelihood(proposal)
+            self.report.true_evals += 1
             if s_prob > 0:
                 self._staged.append((proposal, evaluated))
-            self.true_evals += 1
         self.state = metropolis_step(self.state, proposal, log_q, self.target,
                                      self.rng, proposal_log_lik=evaluated,
                                      estimate_truth=truth)
         self.history.push(evaluated)
-        self._samples[s] = self.state.theta
-        self._log_liks[s] = self.state.log_lik
+        trace.samples[s] = self.state.theta
+        trace.log_liks[s] = self.state.log_lik
         self.step += 1
 
     def finish(self) -> ReplicaTrace:
-        if self.step != self.max_steps:
+        trace = self.trace
+        if self.step != trace.steps:
             raise ContractError(
-                f"replica {self.index} finished at step {self.step}, "
-                f"expected {self.max_steps}"
+                f"replica {trace.replica} finished at step {self.step}, "
+                f"expected {trace.steps}"
             )
-        return ReplicaTrace(
-            replica=self.index,
-            samples=self._samples,
-            log_liks=self._log_liks,
-            exploit_start=self.exploit_start,
-            true_evals=self.true_evals,
-            surrogate_evals=self.surrogate_evals,
-            rescore_evals=self.rescore_evals,
-            accepted_count=self.state.accepted_count,
-            proposed_count=self.state.proposed_count,
-            surrogate_steps=np.array(self._surr_steps, dtype=np.int64),
-            surrogate_estimates=np.array(self._surr_estimates),
-            surrogate_truths=np.array(self._surr_truths),
-        )
+        trace.surrogate_steps = np.array(trace.surrogate_steps, np.int64)
+        trace.surrogate_estimates = np.array(trace.surrogate_estimates)
+        trace.surrogate_truths = np.array(trace.surrogate_truths)
+        return trace
 
 
 def _sample(config: SamplerConfig, target, parameter_count: int,
             report: RunReport) -> list:
     """Step every replica block by block; returns their traces.
 
-    Swap counts and refit RMSEs go into report as they happen, so a run
-    that fails part way still reports them.
+    Counters, swaps and refit RMSEs go into report as they happen, the
+    acceptance and prediction RMSE when sampling stops, failed or not.
     """
     seed = config.base_seed + config.replica_count
     swap_rng = np.random.default_rng(seed)
@@ -371,32 +346,43 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
     steps = config.steps_per_replica
     runners = [
         _ReplicaRunner(i, config, target, parameter_count,
-                       float(ladder.temps[i]), steps, surrogate)
+                       float(ladder.temps[i]), surrogate, report)
         for i in range(config.replica_count)
     ]
-    for block in range(-(-steps // config.swap_interval)):
-        for runner in runners:
-            for _ in range(min(config.swap_interval, steps - runner.step)):
-                runner._one_step()
-        states, accepted = swap_sweep([runner.state for runner in runners],
-                                      swap_rng)
-        for runner, state in zip(runners, states):
-            runner.state = state
-        # a pair is attempted unless its lower member just swapped
-        report.swap_attempts += len(accepted) - int(accepted[:-1].sum())
-        report.swap_accepts += int(accepted.sum())
-        if surrogate is None or (block + 1) % config.blocks_per_interval:
-            continue
-        rows = [row for runner in runners for row in runner._staged]
-        for runner in runners:
-            runner._staged = []
-        if rows:
-            inputs, targets = zip(*rows)
-            report.train_rmse.append(surrogate.train(
-                SurrogateBatch(np.array(inputs), np.array(targets))))
-        else:
-            log.warning("surrogate interval yielded no true-likelihood "
-                        "rows; training skipped")
+    try:
+        for block in range(-(-steps // config.swap_interval)):
+            for runner in runners:
+                for _ in range(min(config.swap_interval, steps - runner.step)):
+                    runner._one_step()
+            states, accepted = swap_sweep(
+                [runner.state for runner in runners], swap_rng)
+            for runner, state in zip(runners, states):
+                runner.state = state
+            # a pair is attempted unless its lower member just swapped
+            report.swap_attempts += len(accepted) - int(accepted[:-1].sum())
+            report.swap_accepts += int(accepted.sum())
+            if surrogate is None or (block + 1) % config.blocks_per_interval:
+                continue
+            rows = [row for runner in runners for row in runner._staged]
+            for runner in runners:
+                runner._staged = []
+            if rows:
+                inputs, targets = zip(*rows)
+                report.train_rmse.append(surrogate.train(
+                    SurrogateBatch(np.array(inputs), np.array(targets))))
+            else:
+                log.warning("surrogate interval yielded no true-likelihood "
+                            "rows; training skipped")
+    finally:
+        report.replica_acceptance = [runner.state.acceptance_rate
+                                     for runner in runners]
+        truths = np.concatenate([r.trace.surrogate_truths for r in runners])
+        estimates = np.concatenate([r.trace.surrogate_estimates
+                                    for r in runners])
+        tracked = np.isfinite(truths)
+        if tracked.any():
+            report.prediction_rmse = surrogate_rmse(truths[tracked],
+                                                    estimates[tracked])
     return [runner.finish() for runner in runners]
 
 
@@ -407,7 +393,7 @@ def run_target(config: SamplerConfig, target, parameter_count: int):
     Returns (PosteriorChain, RunReport). An exception raised while
     sampling is logged with its traceback and ends the run: the chain
     then holds no traces and the report is partial, naming the failure;
-    it keeps the swap counts and refit RMSEs gathered until then.
+    it keeps every counter gathered until then.
     """
     if parameter_count < 1:
         raise ConfigError("parameter_count must be >= 1")
@@ -423,19 +409,6 @@ def run_target(config: SamplerConfig, target, parameter_count: int):
         report.partial = True
         report.failure = f"{type(exc).__name__}: {exc}"
     report.elapsed_seconds = time.perf_counter() - started
-
-    truths = np.concatenate([t.surrogate_truths for t in traces]) \
-        if traces else np.empty(0)
-    estimates = np.concatenate([t.surrogate_estimates for t in traces]) \
-        if traces else np.empty(0)
-    tracked = np.isfinite(truths)
-    if tracked.any():
-        report.prediction_rmse = surrogate_rmse(truths[tracked],
-                                                estimates[tracked])
-    report.true_evals = sum(t.true_evals for t in traces)
-    report.surrogate_evals = sum(t.surrogate_evals for t in traces)
-    report.rescore_evals = sum(t.rescore_evals for t in traces)
-    report.replica_acceptance = [t.acceptance_rate for t in traces]
     chain = PosteriorChain(traces=traces, parameter_count=parameter_count)
     return chain, report
 

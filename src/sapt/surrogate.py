@@ -11,9 +11,10 @@ All weights and biases sit in one flat float64 vector, in the order
 w1 (L x h1), w2 (h1 x h2), w3 (h2 x 1), b1, b2, b3, each weight matrix
 row-major; gradients come back in the same layout, and the Adam moments
 m and v are two flat vectors beside it, so one Adam step is a single
-pass of vector ops. Every fit uses the same Adam constants: step size
-ADAM_STEP_SIZE (1e-3), ADAM_BETA1 (0.9), ADAM_BETA2 (0.999) and
-ADAM_EPS (1e-8).
+pass of vector ops. Every fit uses the same constants: TRAIN_EPOCHS
+(20) passes in mini-batches of TRAIN_BATCH_SIZE (32) rows, and Adam
+with step size ADAM_STEP_SIZE (1e-3), ADAM_BETA1 (0.9), ADAM_BETA2
+(0.999) and ADAM_EPS (1e-8).
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class SurrogateBatch:
         return self.inputs.shape[0]
 
 
+TRAIN_EPOCHS = 20
+TRAIN_BATCH_SIZE = 32
 ADAM_STEP_SIZE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -215,26 +218,23 @@ class SurrogateModel:
         g_b1 = d_z1.sum(axis=0)
         return np.concatenate((g_w1, g_w2, g_w3, g_b1, g_b2, g_b3), axis=None)
 
-    def train(self, batch: SurrogateBatch, epochs: int = 20,
-              batch_size: int = 32) -> float:
+    def train(self, batch: SurrogateBatch) -> float:
         """Fit on one collected batch; returns RMSE on its scaled targets.
 
         The running scaler widens to cover the new targets first, then
-        mini-batch Adam runs for the given epochs. Weights, moments and
-        the step counter all carry over from previous calls.
+        mini-batch Adam runs for TRAIN_EPOCHS epochs. Weights, moments
+        and the step counter all carry over from previous calls.
         """
         if batch.rows == 0:
             raise ContractError("train called with an empty batch")
-        if epochs < 1 or batch_size < 1:
-            raise ContractError("epochs and batch_size must be >= 1")
         self.scaler.update(batch.targets)
         scaled = np.asarray(self.scaler.scale(batch.targets))
         inputs = batch.inputs
         n = batch.rows
-        for _ in range(epochs):
+        for _ in range(TRAIN_EPOCHS):
             order = self._rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start:start + batch_size]
+            for start in range(0, n, TRAIN_BATCH_SIZE):
+                idx = order[start:start + TRAIN_BATCH_SIZE]
                 self._adam_update(self._gradients(inputs[idx], scaled[idx]))
         self.train_count += 1
         residual = self.predict_scaled(inputs) - scaled

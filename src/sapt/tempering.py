@@ -55,14 +55,14 @@ class ReplicaState:
     """Sampler state of one ladder slot.
 
     log_lik and log_prior cache the current theta's values so rejected
-    steps cost nothing; log_lik is stored untempered. After an accepted
+    steps cost nothing; log_lik is stored untempered. log_lik_truth is
+    None while log_lik is the true value. After an accepted
     surrogate-path step, log_lik is the surrogate estimate that decided
-    it: log_lik_estimated is then True, and log_lik_truth holds the true
-    value at theta when it was measured (nan otherwise). The estimate
-    serves later surrogate-path decisions and swaps; the step engine
-    re-scores it to the true value before the next true-path decision.
-    Counters describe the slot, so swaps move theta and the caches
-    (estimate flag included) but not the counters.
+    it, and log_lik_truth is the true value at theta, or nan when it was
+    not measured. The estimate serves later surrogate-path decisions and
+    swaps; the step engine re-scores it to the true value before the
+    next true-path decision. Counters describe the slot, so swaps move
+    theta and the caches (log_lik_truth included) but not the counters.
     """
 
     theta: np.ndarray
@@ -72,8 +72,7 @@ class ReplicaState:
     accepted_count: int = 0
     proposed_count: int = 0
     phase: str = PHASE_TEMPERED
-    log_lik_estimated: bool = False
-    log_lik_truth: float = math.nan
+    log_lik_truth: float | None = None
 
     @property
     def acceptance_rate(self) -> float:
@@ -203,11 +202,10 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     precomputed value is passed in (the surrogate path hands over its
     blended estimate that way, with estimate_truth set to the true
     value there, or nan when it was not measured). On acceptance the
-    returned state carries the proposal and its cached values, flagged
-    as an estimate when estimate_truth was given; on rejection only
-    proposed_count changes, so the caller's chain records the previous
-    sample again. A non-finite acceptance exponent rejects and logs a
-    diagnostic.
+    returned state carries the proposal, its cached values and
+    log_lik_truth=estimate_truth; on rejection only proposed_count
+    changes, so the caller's chain records the previous sample again.
+    A non-finite acceptance exponent rejects and logs a diagnostic.
     """
     prop_ll = float(proposal_log_lik) if proposal_log_lik is not None \
         else target.log_likelihood(proposal)
@@ -222,11 +220,8 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     else:
         accept = u <= prob
     if accept:
-        estimated = estimate_truth is not None
         return replace(state, theta=proposal, log_lik=prop_ll,
-                       log_prior=prop_lp, log_lik_estimated=estimated,
-                       log_lik_truth=estimate_truth if estimated
-                       else math.nan,
+                       log_prior=prop_lp, log_lik_truth=estimate_truth,
                        accepted_count=state.accepted_count + 1,
                        proposed_count=state.proposed_count + 1)
     return replace(state, proposed_count=state.proposed_count + 1)
@@ -252,12 +247,11 @@ def swap_probability(state_i: ReplicaState, state_j: ReplicaState) -> float:
 def _cached_values(state: ReplicaState) -> dict:
     return dict(theta=state.theta, log_lik=state.log_lik,
                 log_prior=state.log_prior,
-                log_lik_estimated=state.log_lik_estimated,
                 log_lik_truth=state.log_lik_truth)
 
 
 def apply_swap(state_i: ReplicaState, state_j: ReplicaState):
-    """Exchange theta and cached values (the estimate flag and its truth
-    with them); slots keep temperature, phase and counters."""
+    """Exchange theta and cached values, log_lik_truth included; slots
+    keep temperature, phase and counters."""
     return (replace(state_i, **_cached_values(state_j)),
             replace(state_j, **_cached_values(state_i)))

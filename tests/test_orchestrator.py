@@ -330,10 +330,10 @@ class TestSurrogatePath:
         def checked(state, proposal, log_q, tgt, rng, **kw):
             if kw.get("estimate_truth") is None:
                 # true path: the current value must be the true one
-                assert not state.log_lik_estimated
+                assert state.log_lik_truth is None
                 assert state.log_lik == target.log_likelihood(state.theta)
                 seen["true"] += 1
-            elif state.log_lik_estimated:
+            elif state.log_lik_truth is not None:
                 seen["estimate_held"] += 1
             return original(state, proposal, log_q, tgt, rng, **kw)
 
@@ -409,21 +409,31 @@ class TestFailurePaths:
         assert "partial true" in report.to_text()
         assert chain.traces == []
 
-    def test_partial_report_keeps_swap_and_refit_counters(self):
-        # 453 likelihood calls make the first three intervals of 50
-        # steps; the fourth fails part way
+    @pytest.mark.parametrize("track", [True, False])
+    def test_partial_report_keeps_every_counter(self, track):
+        # 500 likelihood calls make the first three intervals of 50
+        # steps (four without truth tracking); the next fails part way
         cfg = small_config(total_samples=1800, swap_interval=25,
-                           surrogate_interval=50, surrogate_prob=0.5)
+                           surrogate_interval=50, surrogate_prob=0.5,
+                           track_surrogate_truth=track)
         target = FailingTarget(center=CENTER, fail_after=500)
         chain, report = run_target(cfg, target, DIM)
         assert report.partial
         assert report.swap_attempts > 0
-        assert len(report.train_rmse) == 3
-        assert report.true_evals == 0
+        assert len(report.train_rmse) == (3 if track else 4)
         assert chain.traces == []
+        # every successful likelihood call is a start value, a true-path
+        # step, or a tracked truth (tracking on) or a re-score (off)
+        extra = report.surrogate_evals if track else report.rescore_evals
+        assert report.true_evals > 0 and extra > 0
+        assert report.true_evals + extra + cfg.replica_count == 500
+        assert len(report.replica_acceptance) == cfg.replica_count
         text = report.to_text().splitlines()
-        assert f"swap_attempts {report.swap_attempts}" in text
-        assert f"swap_accepts {report.swap_accepts}" in text
+        for key in ("true_evals", "surrogate_evals", "rescore_evals",
+                    "swap_attempts", "swap_accepts"):
+            assert f"{key} {getattr(report, key)}" in text
+        for i, rate in enumerate(report.replica_acceptance):
+            assert f"acceptance_rate_replica{i} {rate:.8g}" in text
         for k, rmse in enumerate(report.train_rmse, start=1):
             assert f"surrogate_train_rmse_interval{k} {rmse:.8g}" in text
 

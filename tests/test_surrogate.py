@@ -92,16 +92,18 @@ class TestSurrogateModel:
         with pytest.raises(ContractError):
             model.train(SurrogateBatch(np.empty((0, 2)), np.empty(0)))
 
-    def test_constant_target_converges(self):
+    def test_constant_target_converges(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 5)
         rng = np.random.default_rng(3)
         thetas = rng.normal(size=(64, 5))
         model = SurrogateModel(5, hidden1=16, hidden2=8, seed=1)
         b = SurrogateBatch(thetas, np.full(64, -40.0))
-        model.train(b, epochs=5)
+        model.train(b)
         # degenerate scaler pins every prediction to the single seen value
         assert model.predict(rng.normal(size=5)) == -40.0
 
-    def test_loss_decreases_on_single_row(self):
+    def test_loss_decreases_on_single_row(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 40)
         rng = np.random.default_rng(5)
         model = SurrogateModel(3, hidden1=8, hidden2=4, seed=2)
         anchor = batch_from(sphere, rng.normal(size=(2, 3)))
@@ -114,16 +116,17 @@ class TestSurrogateModel:
             return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
         before = bce()
-        model.train(row, epochs=40)
+        model.train(row)
         assert bce() < before
 
-    def test_learns_smooth_map(self):
+    def test_learns_smooth_map(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 20)
         rng = np.random.default_rng(7)
         train_thetas = rng.normal(size=(600, 6))
         model = SurrogateModel(6, hidden1=32, hidden2=16, seed=3)
         rmse = None
         for _ in range(5):
-            rmse = model.train(batch_from(sphere, train_thetas), epochs=20)
+            rmse = model.train(batch_from(sphere, train_thetas))
         assert rmse < 0.08
         held = rng.normal(size=(100, 6))
         got = np.array([model.predict(t) for t in held])
@@ -132,13 +135,14 @@ class TestSurrogateModel:
         assert corr > 0.9
         assert model.train_count == 5
 
-    def test_training_is_seeded(self):
+    def test_training_is_seeded(self, monkeypatch):
+        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 3)
         rng = np.random.default_rng(9)
         thetas = rng.normal(size=(50, 4))
         runs = []
         for _ in range(2):
             model = SurrogateModel(4, hidden1=8, hidden2=4, seed=11)
-            model.train(batch_from(sphere, thetas), epochs=3)
+            model.train(batch_from(sphere, thetas))
             runs.append(model.predict_scaled(thetas))
         npt.assert_array_equal(runs[0], runs[1])
 
@@ -146,6 +150,8 @@ class TestSurrogateModel:
         assert (surrogate.ADAM_STEP_SIZE, surrogate.ADAM_BETA1,
                 surrogate.ADAM_BETA2, surrogate.ADAM_EPS) == \
             (1e-3, 0.9, 0.999, 1e-8)
+        assert (surrogate.TRAIN_EPOCHS, surrogate.TRAIN_BATCH_SIZE) == \
+            (20, 32)
 
 
 class TestFlatModelMatchesReference:
@@ -155,7 +161,8 @@ class TestFlatModelMatchesReference:
 
     # 45 rows leave a last mini-batch of 13; one row is a batch of one
     @pytest.mark.parametrize("rows", [1, 45, 64])
-    def test_predictions_equal_after_training(self, rows):
+    def test_predictions_equal_after_training(self, rows, monkeypatch):
+        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 3)
         rng = np.random.default_rng(rows)
         thetas = rng.normal(size=(rows, 6))
         held = rng.normal(size=(20, 6))
@@ -166,7 +173,7 @@ class TestFlatModelMatchesReference:
                               ref.predict_scaled(held))
         for fit in range(1, 4):
             batch = batch_from(sphere, thetas + 0.1 * fit)
-            assert flat.train(batch, epochs=3) == ref.train(batch, epochs=3)
+            assert flat.train(batch) == ref.train(batch, epochs=3)
             if fit in (1, 3):
                 assert np.array_equal(flat.predict_scaled(held),
                                       ref.predict_scaled(held))

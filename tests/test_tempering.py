@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -227,14 +228,24 @@ class TestMetropolisStep:
                                np.random.default_rng(23),
                                proposal_log_lik=state.log_lik + 5.0,
                                estimate_truth=-0.25)
-        assert held.log_lik_estimated
+        assert held.log_lik_truth is not None
         assert held.log_lik_truth == -0.25
         cleared = metropolis_step(held, np.array([0.0]), 0.0, target,
                                   np.random.default_rng(23),
                                   proposal_log_lik=held.log_lik + 1.0)
         assert cleared.accepted_count == 2
-        assert not cleared.log_lik_estimated
-        assert np.isnan(cleared.log_lik_truth)
+        assert cleared.log_lik_truth is None
+
+    def test_unmeasured_estimate_held_as_nan(self):
+        target = QuadraticTarget(center=[0.0])
+        state = make_state([0.0], 1.0, target)
+        held = metropolis_step(state, np.array([0.1]), 0.0, target,
+                               np.random.default_rng(23),
+                               proposal_log_lik=state.log_lik + 5.0,
+                               estimate_truth=math.nan)
+        assert held.accepted_count == 1
+        assert held.log_lik_truth is not None
+        assert math.isnan(held.log_lik_truth)
 
     def test_nan_exponent_rejects_and_warns(self, caplog):
         class NanTarget(QuadraticTarget):
@@ -319,12 +330,20 @@ class TestSwap:
     def test_apply_swap_moves_estimate_flag(self):
         target = QuadraticTarget(center=[0.0])
         a = make_state([1.0], 1.0, target)
-        b = replace(make_state([2.0], 2.0, target), log_lik_estimated=True,
-                    log_lik_truth=-7.5)
+        b = replace(make_state([2.0], 2.0, target), log_lik_truth=-7.5)
         new_a, new_b = apply_swap(a, b)
-        assert new_a.log_lik_estimated and new_a.log_lik_truth == -7.5
-        assert not new_b.log_lik_estimated
-        assert np.isnan(new_b.log_lik_truth)
+        assert new_a.log_lik_truth is not None and new_a.log_lik_truth == -7.5
+        assert new_b.log_lik_truth is None
+
+    def test_apply_swap_moves_unmeasured_estimate(self):
+        target = QuadraticTarget(center=[0.0])
+        a = replace(make_state([1.0], 1.0, target), log_lik_truth=math.nan)
+        b = make_state([2.0], 2.0, target)
+        new_a, new_b = apply_swap(a, b)
+        npt.assert_array_equal(new_b.theta, a.theta)
+        assert new_b.log_lik_truth is not None
+        assert math.isnan(new_b.log_lik_truth)
+        assert new_a.log_lik_truth is None
 
     def test_apply_swap_involution(self):
         target = QuadraticTarget(center=[0.0, 0.0])
