@@ -14,14 +14,14 @@ report.txt).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import traceback
 from pathlib import Path
 
 from . import __version__
 from .bnn import NetworkTopology, PriorConfig
-from .data import load_csv, load_registry, load_registered, split
+from .data import (DEFAULT_TRAIN_FRACTION, load_csv, load_registry,
+                   load_registered, split)
 from .diagnostics import (MODE_PER_SAMPLE, MODE_POSTERIOR_MEAN,
                           compose_report, emit_posterior, posterior_accuracy,
                           write_manifest, write_surrogate_trace)
@@ -44,30 +44,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dataset", default="iris",
                         help="registered dataset name or a label-last CSV "
                              "path (default: iris)")
-    parser.add_argument("--replicas", type=int, default=10, metavar="M")
-    parser.add_argument("--samples", type=int, default=50000, metavar="N",
+    parser.add_argument("--replicas", type=int,
+                        default=SamplerConfig.replica_count, metavar="M")
+    parser.add_argument("--samples", type=int,
+                        default=SamplerConfig.total_samples, metavar="N",
                         help="total samples across all replicas")
-    parser.add_argument("--swap-interval", type=int, default=50)
-    parser.add_argument("--surrogate-interval", type=int, default=50)
-    parser.add_argument("--surrogate-prob", type=float, default=0.0,
-                        help="per-step probability of the surrogate path "
-                             "(0 disables the surrogate)")
-    parser.add_argument("--max-temp", type=float, default=5.0)
+    parser.add_argument("--swap-interval", type=int,
+                        default=SamplerConfig.swap_interval)
+    parser.add_argument("--surrogate-interval", type=int,
+                        default=SamplerConfig.surrogate_interval)
+    parser.add_argument("--surrogate-prob", type=float,
+                        default=SamplerConfig.surrogate_prob,
+                        help="per-step probability of the surrogate path, "
+                             "in [0, 1) (0 disables the surrogate)")
+    parser.add_argument("--max-temp", type=float,
+                        default=SamplerConfig.max_temp)
     parser.add_argument("--proposal", choices=sorted(PROPOSAL_FLAGS),
                         default="rw",
                         help="rw: random walk; lg: gradient-drift mix")
-    parser.add_argument("--lg-prob", type=float, default=0.5,
+    parser.add_argument("--lg-prob", type=float,
+                        default=ProposalConfig.lg_prob,
                         help="probability of the gradient-drift proposal "
                              "inside lg mode")
-    parser.add_argument("--lg-rate", type=float, default=0.02,
+    parser.add_argument("--lg-rate", type=float,
+                        default=ProposalConfig.lg_learning_rate,
                         help="Langevin step h of the drift proposal: the "
                              "mean moves h times the tempered log-posterior "
                              "gradient, the noise sd is sqrt(2h)")
-    parser.add_argument("--rw-sd", type=float, default=0.025,
+    parser.add_argument("--rw-sd", type=float,
+                        default=ProposalConfig.rw_step_sd,
                         help="random-walk step sd")
-    parser.add_argument("--burn-in", type=float, default=0.5,
+    parser.add_argument("--burn-in", type=float,
+                        default=SamplerConfig.burn_in_fraction,
                         help="fraction of steps in the tempered phase")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=SamplerConfig.base_seed)
     parser.add_argument("--out-dir", default="sapt-out")
     parser.add_argument("--thin", type=int, default=10,
                         help="posterior thinning stride for accuracy and "
@@ -75,8 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--hidden", type=int, default=None,
                         help="hidden units (default: registry value; "
                              "required for CSV paths)")
-    parser.add_argument("--train-fraction", type=float, default=0.6)
-    parser.add_argument("--prior-var", type=float, default=25.0,
+    parser.add_argument("--train-fraction", type=float,
+                        default=DEFAULT_TRAIN_FRACTION)
+    parser.add_argument("--prior-var", type=float,
+                        default=PriorConfig.sigma_sq,
                         help="Gaussian prior variance on every parameter")
     parser.add_argument("--surrogate-hidden", type=int, nargs=2,
                         default=None, metavar=("H1", "H2"))
@@ -86,54 +98,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan_csv(path: Path):
-    """Column count and label range of a raw CSV, for schema inference."""
-    feature_count = None
-    max_label = 0
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if feature_count is None:
-                feature_count = len(row) - 1
-            try:
-                label = float(row[-1])
-            except ValueError:
-                continue  # load_csv reports the precise line
-            if label == int(label):
-                max_label = max(max_label, int(label))
-    if feature_count is None or feature_count < 1:
-        raise DataFormatError(f"{path}: no usable data rows")
-    return feature_count, max_label + 1
-
-
 def _resolve_dataset(args):
     """-> (dataset_id, topology, surrogate_hidden, train, test)."""
     registry = load_registry()
+    path = Path(args.dataset)
     if args.dataset in registry:
         entry, train, test = load_registered(
             args.dataset, args.train_fraction, seed=args.seed)
-        hidden = args.hidden if args.hidden is not None \
-            else entry.hidden_units
-        topology = NetworkTopology(entry.attribute_count, hidden,
-                                   entry.class_count)
-        surrogate_hidden = tuple(args.surrogate_hidden) \
-            if args.surrogate_hidden else entry.surrogate_hidden
-        return args.dataset, topology, surrogate_hidden, train, test
-    path = Path(args.dataset)
-    if not path.exists():
-        raise FileNotFoundError(
+        hidden = entry.hidden_units if args.hidden is None else args.hidden
+        surrogate_hidden = entry.surrogate_hidden
+    elif not path.is_file():
+        raise ConfigError(
             f"{args.dataset!r} is neither a registered dataset "
-            f"({', '.join(sorted(registry))}) nor an existing file"
-        )
-    if args.hidden is None:
+            f"({', '.join(sorted(registry))}) nor an existing file")
+    elif args.hidden is None:
         raise ConfigError("--hidden is required for a dataset given by path")
-    feature_count, class_count = _scan_csv(path)
-    full = load_csv(path, feature_count, class_count, name=path.stem)
-    train, test = split(full, args.train_fraction, seed=args.seed)
-    topology = NetworkTopology(feature_count, args.hidden, class_count)
-    surrogate_hidden = tuple(args.surrogate_hidden) \
-        if args.surrogate_hidden else (64, 16)
+    else:
+        train, test = split(load_csv(path, name=path.stem),
+                            args.train_fraction, seed=args.seed)
+        hidden, surrogate_hidden = args.hidden, SamplerConfig.surrogate_hidden
+    if args.surrogate_hidden:
+        surrogate_hidden = tuple(args.surrogate_hidden)
+    topology = NetworkTopology(train.feature_count, hidden, train.class_count)
     return str(path), topology, surrogate_hidden, train, test
 
 
@@ -223,8 +209,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run_command(args)
-    except (ConfigError, ContractError, DataFormatError,
-            FileNotFoundError) as exc:
+    except (ConfigError, ContractError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

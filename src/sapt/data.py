@@ -1,16 +1,17 @@
-"""Dataset loading, normalization, stratified splitting and the registry.
+"""Dataset loading, stratified splitting and the registry.
 
-CSV convention: comma separated, no header unless asked to skip one,
-feature columns first and one integer class label last. Features are
-kept raw by load_csv; split() computes min-max statistics on the train
-rows and applies them to both splits.
+CSV convention: comma separated, no header, feature columns first and
+one non-negative integer class label last; blank lines are skipped.
+load_csv is the one parser of a dataset file. It keeps features raw and
+reads any feature or class count it is not given from the file. split()
+min-max scales both sides with the train rows' statistics.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +31,6 @@ class Dataset:
     labels: np.ndarray     # N ints in 0..K-1
     one_hot: np.ndarray    # N x K
     name: str = ""
-    split: str = ""        # "", "train" or "test"
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.features.shape[0] < 1:
@@ -72,57 +72,62 @@ def one_hot(labels, class_count: int) -> np.ndarray:
     return z
 
 
-def make_dataset(features, labels, class_count: int, name: str = "",
-                 split: str = "") -> Dataset:
+def make_dataset(features, labels, class_count: int,
+                 name: str = "") -> Dataset:
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(features, labels, one_hot(labels, class_count), name, split)
+    return Dataset(features, labels, one_hot(labels, class_count), name)
 
 
-def load_csv(path, feature_count: int, class_count: int,
-             skip_header: bool = False, name: str = "") -> Dataset:
-    """Parse a label-last CSV file into an unnormalized Dataset."""
+def load_csv(path, feature_count: int | None = None,
+             class_count: int | None = None, name: str = "") -> Dataset:
+    """Parse a label-last CSV file into an unnormalized Dataset.
+
+    Every row is checked against the counts. A count left None is read
+    from the file: the first data row's column count minus one (at least
+    one, so a lone column is an error), and the largest label plus one.
+    """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataFormatError(f"dataset file not found: {path}")
-    rows = []
-    labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != feature_count + 1:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {feature_count + 1} columns, "
-                    f"got {len(parts)}"
-                )
-            try:
-                feats = [float(p) for p in parts[:-1]]
-                raw_label = float(parts[-1])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric field in {line!r}"
-                ) from None
-            if raw_label != int(raw_label):
-                raise DataFormatError(
-                    f"{path}:{lineno}: label {parts[-1]!r} is not an integer"
-                )
-            label = int(raw_label)
-            if not 0 <= label < class_count:
-                raise DataFormatError(
-                    f"{path}:{lineno}: label {label} outside 0..{class_count - 1}"
-                )
-            rows.append(feats)
-            labels.append(label)
+    rows, labels = [], []
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if feature_count is None:
+                    feature_count = max(len(parts) - 1, 1)
+                if len(parts) != feature_count + 1:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {feature_count + 1} "
+                        f"columns, got {len(parts)}")
+                try:
+                    *feats, raw_label = [float(p) for p in parts]
+                except ValueError:
+                    raise DataFormatError(f"{path}:{lineno}: non-numeric "
+                                          f"field in {line!r}") from None
+                if not raw_label.is_integer() or raw_label < 0:
+                    raise DataFormatError(f"{path}:{lineno}: label "
+                                          f"{parts[-1]!r} is not a "
+                                          "non-negative integer")
+                label = int(raw_label)
+                if class_count is not None and label >= class_count:
+                    raise DataFormatError(f"{path}:{lineno}: label {label} "
+                                          f"outside 0..{class_count - 1}")
+                rows.append(feats)
+                labels.append(label)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read as text: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(features)):
         raise DataFormatError(f"{path}: non-finite feature value")
+    if class_count is None:
+        class_count = max(labels) + 1
     return make_dataset(features, labels, class_count, name=name or path.stem)
 
 
@@ -138,38 +143,13 @@ def save_csv(dataset: Dataset, path) -> None:
             fh.write(",".join(cols) + "\n")
 
 
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-column min and range used for min-max scaling."""
-
-    lo: np.ndarray
-    span: np.ndarray
-
-
-def feature_stats(features: np.ndarray) -> FeatureStats:
-    lo = features.min(axis=0)
-    return FeatureStats(lo=lo, span=features.max(axis=0) - lo)
-
-
-def normalize(dataset: Dataset, stats: FeatureStats) -> Dataset:
-    """Min-max scale each column with the given statistics.
-
-    Columns with zero range map to 0 everywhere (divide-by-zero guard).
-    """
-    safe_span = np.where(stats.span > 0, stats.span, 1.0)
-    scaled = np.where(stats.span > 0,
-                      (dataset.features - stats.lo) / safe_span,
-                      0.0)
-    return replace(dataset, features=scaled)
-
-
 def split(dataset: Dataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
-          seed: int = 0, normalize_features: bool = True):
+          seed: int = 0):
     """Stratified train/test split, deterministic for a given seed.
 
     Every class contributes round(train_fraction * count) rows to the
-    train side. Normalization statistics come from the train rows only
-    and are applied to both splits.
+    train side. Both sides are min-max scaled with the train rows' column
+    min and range; a column constant on the train side maps to 0.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ContractError(f"train_fraction must be in (0,1), got {train_fraction}")
@@ -191,18 +171,17 @@ def split(dataset: Dataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
     test_idx = np.sort(np.concatenate(test_idx))
     if test_idx.size == 0:
         raise DataFormatError("test split is empty; lower the train fraction")
+    lo = dataset.features[train_idx].min(axis=0)
+    span = dataset.features[train_idx].max(axis=0) - lo
+    safe_span = np.where(span > 0, span, 1.0)
 
-    def subset(indices, tag):
-        return Dataset(dataset.features[indices], dataset.labels[indices],
-                       dataset.one_hot[indices], dataset.name, tag)
+    def subset(indices):
+        scaled = np.where(span > 0,
+                          (dataset.features[indices] - lo) / safe_span, 0.0)
+        return Dataset(scaled, dataset.labels[indices],
+                       dataset.one_hot[indices], dataset.name)
 
-    train = subset(train_idx, "train")
-    test = subset(test_idx, "test")
-    if normalize_features:
-        stats = feature_stats(train.features)
-        train = normalize(train, stats)
-        test = normalize(test, stats)
-    return train, test
+    return subset(train_idx), subset(test_idx)
 
 
 @dataclass(frozen=True)

@@ -101,8 +101,10 @@ class SamplerConfig:
                 "surrogate_interval must be a positive multiple of "
                 "swap_interval"
             )
-        if not 0.0 <= self.surrogate_prob <= 1.0:
-            raise ConfigError("surrogate_prob must lie in [0,1]")
+        if not 0.0 <= self.surrogate_prob < 1.0:
+            raise ConfigError("surrogate_prob must lie in [0,1): at 1 no "
+                              "true-likelihood rows are staged after the "
+                              "first refit, so the surrogate never refits")
         if not 0.0 < self.burn_in_fraction < 1.0:
             raise ConfigError("burn_in_fraction must lie in (0,1)")
         if self.max_temp < 1.0:

@@ -25,3 +25,16 @@ def tiny_dataset():
 @pytest.fixture(scope="session")
 def tiny_topology():
     return NetworkTopology(2, 3, 2)
+
+
+@pytest.fixture(params=["nan-label", "inf-label", "directory", "not-text"])
+def malformed_csv(request, tmp_path):
+    """A dataset path that load_csv rejects with DataFormatError."""
+    path = tmp_path / "bad.csv"
+    if request.param == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes({"nan-label": b"1,2,0\n3,4,nan\n",
+                          "inf-label": b"1,2,0\n3,4,inf\n",
+                          "not-text": b"\xff1,2,0\n"}[request.param])
+    return path

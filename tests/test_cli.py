@@ -1,10 +1,13 @@
+import shutil
+
 import numpy as np
 import pytest
 
 import sapt
 from sapt.bnn import BnnPosterior
 from sapt.cli import build_parser, main
-from sapt.data import load_registered, save_csv
+from sapt.data import (load_registered, registry_entry, resolve_data_file,
+                       save_csv)
 
 
 def run_cli(args):
@@ -55,6 +58,23 @@ class TestErrors:
                         "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "--hidden" in capsys.readouterr().err
+
+    def test_malformed_csv_is_reported(self, capsys, tmp_path,
+                                       malformed_csv):
+        code = run_cli(["--dataset", str(malformed_csv), "--hidden", "3",
+                        "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_surrogate_prob_one_is_reported(self, capsys, tmp_path):
+        code = run_cli(["--surrogate-prob", "1.0", "--replicas", "2",
+                        "--samples", "40", "--swap-interval", "10",
+                        "--surrogate-interval", "10",
+                        "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "surrogate_prob" in err
 
 
 class TestRuns:
@@ -118,6 +138,34 @@ class TestRuns:
                         "--out-dir", str(out)])
         assert code == 0
         assert "hidden_units 6" in (out / "manifest.txt").read_text()
+
+    def test_path_csv_matches_registry_twin(self, capsys, tmp_path):
+        csv_path = tmp_path / "iris_copy.csv"
+        shutil.copyfile(resolve_data_file(registry_entry("iris")), csv_path)
+        surrogate = ["--surrogate-prob", "0.5"]
+        by_path, by_name = tmp_path / "path", tmp_path / "name"
+        assert run_cli(self.small_args(by_path, [
+            *surrogate, "--dataset", str(csv_path), "--hidden", "12"])) == 0
+        assert run_cli(self.small_args(by_name, surrogate)) == 0
+        capsys.readouterr()
+        names = sorted(f.name for f in by_path.iterdir())
+        assert names == sorted(f.name for f in by_name.iterdir())
+        assert "surrogate_trace.csv" in names
+        for name in names:
+            if name.startswith(("posterior_p", "trace_replica")) or \
+                    name in ("histograms.csv", "surrogate_trace.csv"):
+                assert (by_path / name).read_bytes() == \
+                    (by_name / name).read_bytes(), name
+
+        def changed_keys(name):
+            a = (by_path / name).read_text().splitlines()
+            b = (by_name / name).read_text().splitlines()
+            assert len(a) == len(b)
+            return {x.split()[0] for x, y in zip(a, b) if x != y}
+
+        assert changed_keys("manifest.txt") == {"dataset"}
+        assert changed_keys("report.txt") <= {"elapsed_seconds",
+                                              "elapsed_minutes"}
 
     def test_langevin_flag(self, capsys, tmp_path):
         out = tmp_path / "lg"

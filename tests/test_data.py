@@ -4,12 +4,10 @@ import pytest
 
 from sapt.data import (
     Dataset,
-    feature_stats,
     load_csv,
     load_registered,
     load_registry,
     make_dataset,
-    normalize,
     one_hot,
     registry_entry,
     resolve_data_file,
@@ -67,10 +65,10 @@ class TestCsvRoundTrip:
         npt.assert_array_equal(ds2.features, ds.features)
         npt.assert_array_equal(ds2.labels, ds.labels)
 
-    def test_skip_header_and_blank_lines(self, tmp_path):
+    def test_blank_lines(self, tmp_path):
         path = tmp_path / "h.csv"
-        path.write_text("a,b,label\n1,2,0\n\n3,4,1\n")
-        ds = load_csv(path, 2, 2, skip_header=True)
+        path.write_text("1,2,0\n\n3,4,1\n")
+        ds = load_csv(path, 2, 2)
         assert ds.sample_count == 2
 
     def test_errors(self, tmp_path):
@@ -98,19 +96,46 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError):
             load_csv(garbage, 2, 2)
 
+    def test_malformed_input(self, malformed_csv):
+        with pytest.raises(DataFormatError):
+            load_csv(malformed_csv, 2, 2)
+
+    def test_inferred_counts_match_registry(self):
+        entry = registry_entry("iris")
+        path = resolve_data_file(entry)
+        inferred = load_csv(path)
+        given = load_csv(path, 4, 3)
+        npt.assert_array_equal(inferred.features, given.features)
+        npt.assert_array_equal(inferred.labels, given.labels)
+        npt.assert_array_equal(inferred.one_hot, given.one_hot)
+        assert inferred.name == given.name == "iris"
+
+    @pytest.mark.parametrize("text, counts", [
+        ("1,2,0\n3,4,2\n", {"class_count": 2}),
+        ("1,2,0\n3,4,5,1\n", {}),
+        ("0\n1\n", {}),
+    ], ids=["label-at-class-count", "column-count-changes",
+            "no-feature-column"])
+    def test_inferred_counts_still_check_rows(self, tmp_path, text, counts):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError):
+            load_csv(path, **counts)
+
 
 class TestNormalize:
     def test_train_columns_scaled_to_unit_interval(self, tiny_dataset):
-        stats = feature_stats(tiny_dataset.features)
-        scaled = normalize(tiny_dataset, stats)
-        npt.assert_allclose(scaled.features.min(axis=0), 0.0, atol=1e-15)
-        npt.assert_allclose(scaled.features.max(axis=0), 1.0, rtol=1e-15)
+        train, _ = split(tiny_dataset, seed=0)
+        npt.assert_array_equal(train.features.min(axis=0), 0.0)
+        npt.assert_array_equal(train.features.max(axis=0), 1.0)
 
     def test_constant_column_maps_to_zero(self):
-        ds = make_dataset(np.array([[5.0, 1.0], [5.0, 3.0]]), [0, 1], 2)
-        scaled = normalize(ds, feature_stats(ds.features))
-        npt.assert_array_equal(scaled.features[:, 0], [0.0, 0.0])
-        assert np.all(np.isfinite(scaled.features))
+        feats = np.column_stack([np.full(10, 5.0), np.arange(10.0)])
+        ds = make_dataset(feats, np.arange(10) % 2, 2)
+        train, test = split(ds, seed=0)
+        for side in (train, test):
+            npt.assert_array_equal(side.features[:, 0], 0.0)
+            assert np.all(np.isfinite(side.features))
 
 
 class TestSplit:
@@ -127,18 +152,21 @@ class TestSplit:
         for cls in range(3):
             assert np.sum(train.labels == cls) == 18
             assert np.sum(test.labels == cls) == 12
-        assert train.split == "train"
-        assert test.split == "test"
 
-    def test_disjoint_and_covering(self):
+    def build_tagged(self):
+        """build() with row ids in the first feature column."""
         ds = self.build()
-        # tag rows through the first feature to track membership
         feats = ds.features.copy()
         feats[:, 0] = np.arange(ds.sample_count)
-        ds = make_dataset(feats, ds.labels, 3)
-        train, test = split(ds, seed=3, normalize_features=False)
-        ids = np.concatenate([train.features[:, 0], test.features[:, 0]])
-        assert sorted(ids) == list(range(90))
+        return make_dataset(feats, ds.labels, 3)
+
+    def test_disjoint_and_covering(self):
+        train, test = split(self.build_tagged(), seed=3)
+        # min-max scaling with a positive span is strictly increasing, so
+        # 90 distinct scaled tags mean each row lands exactly once
+        tags = np.concatenate([train.features[:, 0], test.features[:, 0]])
+        assert tags.size == 90
+        assert np.unique(tags).size == 90
 
     def test_deterministic_per_seed(self):
         ds = self.build()
@@ -150,12 +178,17 @@ class TestSplit:
         assert not np.array_equal(a1.features, a3.features)
 
     def test_test_side_uses_train_statistics(self):
-        ds = self.build()
-        train_raw, test_raw = split(ds, seed=7, normalize_features=False)
-        train, test = split(ds, seed=7, normalize_features=True)
-        stats = feature_stats(train_raw.features)
-        npt.assert_allclose(test.features,
-                            (test_raw.features - stats.lo) / stats.span,
+        ds = self.build_tagged()
+        train, test = split(ds, seed=7)
+        # the scaling is monotone, so a tag's rank over both sides is the
+        # id of the raw row it came from
+        tags = np.concatenate([train.features[:, 0], test.features[:, 0]])
+        ids = np.argsort(np.argsort(tags))
+        train_raw = ds.features[ids[:train.sample_count]]
+        test_raw = ds.features[ids[train.sample_count:]]
+        lo = train_raw.min(axis=0)
+        span = train_raw.max(axis=0) - lo
+        npt.assert_allclose(test.features, (test_raw - lo) / span,
                             rtol=1e-14)
 
     def test_bad_fraction(self):

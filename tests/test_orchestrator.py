@@ -67,6 +67,8 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError):
             small_config(surrogate_prob=1.5)
         with pytest.raises(ConfigError):
+            small_config(surrogate_prob=1.0)  # the surrogate would never refit
+        with pytest.raises(ConfigError):
             small_config(burn_in_fraction=1.0)
         with pytest.raises(ConfigError):
             small_config(burn_in_fraction=0.0)
