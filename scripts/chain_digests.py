@@ -6,7 +6,7 @@
 The base ref (git archive) and the working tree's tracked files, as they
 are on disk, are copied into .bench_build/digests/. Each copy runs the
 fixed matrix of configurations below with its own sapt and perfbench.
-For every configuration the script prints three hashes per side:
+For every configuration the script prints four hashes per side:
 
 * chain: perfbench's chain digest of every replica's samples and
   log-likelihood trace;
@@ -14,7 +14,9 @@ For every configuration the script prints three hashes per side:
 * report: the report.txt text (RunReport, accuracy and surrogate
   blocks) without its elapsed_seconds and elapsed_minutes lines, and
   with the surrogate stub cut to its "surrogate not applicable" prefix,
-  whose parenthesised reason is prose.
+  whose parenthesised reason is prose;
+* data: the bytes of the teacher CSV that the copy's save_csv wrote,
+  then the train and test features and labels the run sampled from.
 
 It exits 1 if any hash differs or a side fails to run, and removes the
 copies on the way out.
@@ -34,7 +36,7 @@ from pathlib import Path
 from bench_pairs import ROOT, export_base, export_working_tree
 
 DIGESTS_DIR = ROOT / ".bench_build" / "digests"
-HASHES = ("chain", "surrogate", "report")
+HASHES = ("chain", "surrogate", "report", "data")
 STUB = "surrogate not applicable"
 
 # (label, workload or "nine-class", sub-seed, SamplerConfig overrides);
@@ -100,6 +102,7 @@ def run_matrix(checkout: Path) -> None:
     with tempfile.TemporaryDirectory() as work:
         synth_csv = Path(work) / "synth.csv"
         workloads.write_teacher_csv(1, synth_csv)
+        csv_hash = hashlib.sha256(synth_csv.read_bytes())
         for label, name, seed, overrides in MATRIX:
             if name == "nine-class":
                 workload = workloads.WORKLOADS["iris-lg"]
@@ -125,6 +128,10 @@ def run_matrix(checkout: Path) -> None:
                         report, summary).splitlines()
                     if not line.startswith(("elapsed_seconds ",
                                             "elapsed_minutes "))]
+            data = csv_hash.copy()
+            for side in (train, test):
+                for values in (side.features, side.labels):
+                    data.update(np.ascontiguousarray(values).tobytes())
             surrogate = hashlib.sha256()
             for trace in chain.traces:
                 for values in (trace.surrogate_steps,
@@ -137,6 +144,7 @@ def run_matrix(checkout: Path) -> None:
                 "surrogate": surrogate.hexdigest(),
                 "report": hashlib.sha256(
                     "\n".join(text).encode()).hexdigest(),
+                "data": data.hexdigest(),
             }), flush=True)
 
 

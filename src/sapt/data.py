@@ -1,10 +1,12 @@
 """Dataset loading, stratified splitting and the registry.
 
-CSV convention: comma separated, no header, feature columns first and
-one non-negative integer class label last; blank lines are skipped.
-load_csv is the one parser of a dataset file. It keeps features raw and
-reads any feature or class count it is not given from the file. split()
-min-max scales both sides with the train rows' statistics.
+CSV convention: comma separated, no header, no comment syntax, feature
+columns first and one non-negative integer class label last; lines that
+are empty or only white space are skipped. load_csv is the one parser of
+a dataset file: numpy parses the table and the checks run on whole
+columns. It keeps features raw and reads any feature or class count it
+is not given from the file. save_csv writes the same format with numpy.
+split() min-max scales both sides with the train rows' statistics.
 """
 
 from __future__ import annotations
@@ -83,51 +85,40 @@ def load_csv(path, feature_count: int | None = None,
              class_count: int | None = None, name: str = "") -> Dataset:
     """Parse a label-last CSV file into an unnormalized Dataset.
 
-    Every row is checked against the counts. A count left None is read
-    from the file: the first data row's column count minus one (at least
-    one, so a lone column is an error), and the largest label plus one.
+    numpy parses the non-blank lines; every row is checked against the
+    counts. A count left None is read from the file: the column count
+    minus one (at least one), and the largest label plus one, which may
+    not exceed the row count since split needs a row in every class.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DataFormatError(f"dataset file not found: {path}")
-    rows, labels = [], []
     try:
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if feature_count is None:
-                    feature_count = max(len(parts) - 1, 1)
-                if len(parts) != feature_count + 1:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected {feature_count + 1} "
-                        f"columns, got {len(parts)}")
-                try:
-                    *feats, raw_label = [float(p) for p in parts]
-                except ValueError:
-                    raise DataFormatError(f"{path}:{lineno}: non-numeric "
-                                          f"field in {line!r}") from None
-                if not raw_label.is_integer() or raw_label < 0:
-                    raise DataFormatError(f"{path}:{lineno}: label "
-                                          f"{parts[-1]!r} is not a "
-                                          "non-negative integer")
-                label = int(raw_label)
-                if class_count is not None and label >= class_count:
-                    raise DataFormatError(f"{path}:{lineno}: label {label} "
-                                          f"outside 0..{class_count - 1}")
-                rows.append(feats)
-                labels.append(label)
+            lines = [line for line in fh if not line.isspace()]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read as text: {exc}") from None
-    if not rows:
+    if not lines:
         raise DataFormatError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=np.float64)
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    if feature_count is None:
+        feature_count = max(table.shape[1] - 1, 1)
+    if table.shape[1] != feature_count + 1:
+        raise DataFormatError(f"{path}: expected {feature_count + 1} "
+                              f"columns, got {table.shape[1]}")
+    features, labels = table[:, :-1], table[:, -1]
     if not np.all(np.isfinite(features)):
         raise DataFormatError(f"{path}: non-finite feature value")
+    limit = labels.size if class_count is None else class_count
+    bad = np.flatnonzero(~((labels >= 0) & (labels < limit)
+                           & (labels == np.floor(labels))))
+    if bad.size:
+        raise DataFormatError(f"{path}: data row {bad[0] + 1}: label "
+                              f"{float(labels[bad[0]])!r} is not an integer "
+                              f"in 0..{limit - 1}")
     if class_count is None:
-        class_count = max(labels) + 1
+        class_count = int(labels.max()) + 1
     return make_dataset(features, labels, class_count, name=name or path.stem)
 
 
@@ -137,10 +128,8 @@ def save_csv(dataset: Dataset, path) -> None:
     Floats use repr precision so a parse/serialize/parse round trip is
     bit-exact.
     """
-    with open(path, "w") as fh:
-        for feats, label in zip(dataset.features, dataset.labels):
-            cols = [f"{x:.17g}" for x in feats] + [str(int(label))]
-            fh.write(",".join(cols) + "\n")
+    np.savetxt(path, np.column_stack([dataset.features, dataset.labels]),
+               fmt=["%.17g"] * dataset.feature_count + ["%d"], delimiter=",")
 
 
 def split(dataset: Dataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
@@ -153,6 +142,8 @@ def split(dataset: Dataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
     """
     if not 0.0 < train_fraction < 1.0:
         raise ContractError(f"train_fraction must be in (0,1), got {train_fraction}")
+    if seed < 0:
+        raise ContractError(f"split seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     train_idx = []
     test_idx = []

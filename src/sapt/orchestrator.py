@@ -107,11 +107,13 @@ class SamplerConfig:
                               "first refit, so the surrogate never refits")
         if not 0.0 < self.burn_in_fraction < 1.0:
             raise ConfigError("burn_in_fraction must lie in (0,1)")
-        if self.max_temp < 1.0:
-            raise ConfigError("max_temp must be >= 1")
+        if not 1.0 <= self.max_temp < math.inf:
+            raise ConfigError("max_temp must be finite and >= 1")
         if len(self.surrogate_hidden) != 2 \
                 or min(self.surrogate_hidden) < 1:
             raise ConfigError("surrogate_hidden must be two positive sizes")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
 
     @property
     def steps_per_replica(self) -> int:

@@ -40,8 +40,8 @@ def build_ladder(replica_count: int, max_temp: float) -> TemperatureLadder:
     """
     if replica_count < 2:
         raise ConfigError(f"ladder needs at least 2 replicas, got {replica_count}")
-    if max_temp < 1.0:
-        raise ConfigError(f"max_temp must be >= 1, got {max_temp}")
+    if not 1.0 <= max_temp < math.inf:
+        raise ConfigError(f"max_temp must be finite and >= 1, got {max_temp}")
     exponents = np.arange(replica_count) / (replica_count - 1)
     temps = float(max_temp) ** exponents
     temps[0] = 1.0
@@ -99,10 +99,10 @@ class ProposalConfig:
     def __post_init__(self):
         if self.kind not in (KIND_RANDOM_WALK, KIND_LANGEVIN_MIX):
             raise ConfigError(f"unknown proposal kind {self.kind!r}")
-        if self.rw_step_sd <= 0:
-            raise ConfigError("rw_step_sd must be positive")
-        if self.lg_learning_rate <= 0:
-            raise ConfigError("lg_learning_rate must be positive")
+        if not 0 < self.rw_step_sd < math.inf:
+            raise ConfigError("rw_step_sd must be positive and finite")
+        if not 0 < self.lg_learning_rate < math.inf:
+            raise ConfigError("lg_learning_rate must be positive and finite")
         if not 0.0 <= self.lg_prob <= 1.0:
             raise ConfigError("lg_prob must lie in [0,1]")
 

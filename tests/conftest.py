@@ -27,7 +27,8 @@ def tiny_topology():
     return NetworkTopology(2, 3, 2)
 
 
-@pytest.fixture(params=["nan-label", "inf-label", "directory", "not-text"])
+@pytest.fixture(params=["nan-label", "inf-label", "huge-label", "directory",
+                        "not-text"])
 def malformed_csv(request, tmp_path):
     """A dataset path that load_csv rejects with DataFormatError."""
     path = tmp_path / "bad.csv"
@@ -36,5 +37,6 @@ def malformed_csv(request, tmp_path):
     else:
         path.write_bytes({"nan-label": b"1,2,0\n3,4,nan\n",
                           "inf-label": b"1,2,0\n3,4,inf\n",
+                          "huge-label": b"1,2,0\n3,4,1e300\n",
                           "not-text": b"\xff1,2,0\n"}[request.param])
     return path

@@ -66,6 +66,18 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("extra", [
+        ["--max-temp", "nan"], ["--rw-sd", "nan"], ["--rw-sd", "inf"],
+        ["--proposal", "lg", "--lg-rate", "inf"], ["--seed", "-1"],
+    ], ids=["max-temp-nan", "rw-sd-nan", "rw-sd-inf", "lg-rate-inf",
+            "negative-seed"])
+    def test_out_of_range_value_is_reported(self, capsys, tmp_path, extra):
+        code = run_cli(["--replicas", "2", "--samples", "200",
+                        "--swap-interval", "10", "--surrogate-interval", "10",
+                        "--out-dir", str(tmp_path / "o"), *extra])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_surrogate_prob_one_is_reported(self, capsys, tmp_path):
         code = run_cli(["--surrogate-prob", "1.0", "--replicas", "2",
                         "--samples", "40", "--swap-interval", "10",

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import _data_reference as ref
 from sapt.data import (
     Dataset,
     load_csv,
@@ -67,34 +68,33 @@ class TestCsvRoundTrip:
 
     def test_blank_lines(self, tmp_path):
         path = tmp_path / "h.csv"
-        path.write_text("1,2,0\n\n3,4,1\n")
-        ds = load_csv(path, 2, 2)
-        assert ds.sample_count == 2
+        for text in ["1,2,0\n\n3,4,1\n", "1,2,0\n   \n3,4,1\n",
+                     "1,2,0\n\t\n3,4,1\n", "1,2,0\r\n3,4,1\r\n",
+                     "1,2,0\n3,4,1"]:
+            path.write_bytes(text.encode())
+            ds = load_csv(path, 2, 2)
+            npt.assert_array_equal(ds.features, [[1, 2], [3, 4]])
+            npt.assert_array_equal(ds.labels, [0, 1])
 
     def test_errors(self, tmp_path):
         missing = tmp_path / "nope.csv"
         with pytest.raises(DataFormatError):
             load_csv(missing, 2, 2)
-        bad_cols = tmp_path / "cols.csv"
-        bad_cols.write_text("1,2,3,0\n")
-        with pytest.raises(DataFormatError):
-            load_csv(bad_cols, 2, 2)
-        bad_label = tmp_path / "lab.csv"
-        bad_label.write_text("1,2,1.5\n")
-        with pytest.raises(DataFormatError):
-            load_csv(bad_label, 2, 2)
-        out_of_range = tmp_path / "range.csv"
-        out_of_range.write_text("1,2,5\n")
-        with pytest.raises(DataFormatError):
-            load_csv(out_of_range, 2, 2)
-        empty = tmp_path / "empty.csv"
-        empty.write_text("\n")
-        with pytest.raises(DataFormatError):
-            load_csv(empty, 2, 2)
-        garbage = tmp_path / "garbage.csv"
-        garbage.write_text("1,x,0\n")
-        with pytest.raises(DataFormatError):
-            load_csv(garbage, 2, 2)
+        path = tmp_path / "bad.csv"
+        # wrong column count, fractional label, label past the class
+        # count, no data rows, non-numeric fields; a '#' is not a comment,
+        # ';' is not a delimiter and a trailing comma adds a column
+        for text in ["1,2,3,0\n", "1,2,1.5\n", "1,2,5\n", "\n", "1,x,0\n",
+                     "1,2#,0\n", "1;2;0\n", "1,2,0,\n"]:
+            path.write_text(text)
+            with pytest.raises(DataFormatError):
+                load_csv(path, 2, 2)
+
+    def test_label_error_names_row_and_value(self, tmp_path):
+        path = tmp_path / "lab.csv"
+        path.write_text("1,2,0\n\n3,4,1.5\n")
+        with pytest.raises(DataFormatError, match="data row 2: label 1.5 "):
+            load_csv(path, 2, 2)
 
     def test_malformed_input(self, malformed_csv):
         with pytest.raises(DataFormatError):
@@ -114,13 +114,56 @@ class TestCsvRoundTrip:
         ("1,2,0\n3,4,2\n", {"class_count": 2}),
         ("1,2,0\n3,4,5,1\n", {}),
         ("0\n1\n", {}),
+        ("1,2,0\n3,4,1e300\n", {}),
     ], ids=["label-at-class-count", "column-count-changes",
-            "no-feature-column"])
+            "no-feature-column", "more-classes-than-rows"])
     def test_inferred_counts_still_check_rows(self, tmp_path, text, counts):
         path = tmp_path / "rows.csv"
         path.write_text(text)
         with pytest.raises(DataFormatError):
             load_csv(path, **counts)
+
+
+class TestCsvReference:
+    """load_csv and save_csv against the frozen per-field loops."""
+
+    @staticmethod
+    def extreme_csv(path):
+        """Values from subnormal to near overflow, written in the forms
+        float() accepts: repr, %.17g, exponent forms, '+.5', '1.', -0."""
+        rng = np.random.default_rng(23)
+        values = rng.normal(size=600) * 10.0 ** rng.integers(-320, 308, 600)
+        forms = [repr, "{:.17g}".format, "{:.3e}".format, "{:g}".format,
+                 "{:+.1E}".format]
+        fields = [forms[i % len(forms)](float(v))
+                  for i, v in enumerate(values)]
+        fields[:8] = ["+.5", "1.", "-0", "-0.0", "5e-324",
+                      "2.2250738585072014e-308", "1.7976931348623157e308",
+                      " 7.25 "]
+        lines = [",".join(fields[i:i + 4]) + f",{i % 3}"
+                 for i in range(0, len(fields), 4)]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def files(self, tmp_path):
+        return [resolve_data_file(registry_entry("iris")),
+                resolve_data_file(registry_entry("cancer")),
+                self.extreme_csv(tmp_path / "extreme.csv")]
+
+    def test_load_matches_reference_bits(self, tmp_path):
+        for path in self.files(tmp_path):
+            features, labels = ref.read_table(path)
+            ds = load_csv(path)
+            assert ds.features.tobytes() == features.tobytes(), path
+            npt.assert_array_equal(ds.labels, labels)
+
+    def test_save_writes_reference_bytes(self, tmp_path):
+        for path in self.files(tmp_path):
+            ds = load_csv(path)
+            save_csv(ds, tmp_path / "ours.csv")
+            ref.write_table(ds.features, ds.labels, tmp_path / "theirs.csv")
+            assert (tmp_path / "ours.csv").read_bytes() == \
+                (tmp_path / "theirs.csv").read_bytes(), path
 
 
 class TestNormalize:
@@ -197,6 +240,10 @@ class TestSplit:
             split(ds, train_fraction=0.0)
         with pytest.raises(ContractError):
             split(ds, train_fraction=1.0)
+
+    def test_negative_seed(self):
+        with pytest.raises(ContractError):
+            split(self.build(), seed=-1)
 
     def test_class_starved_split(self):
         ds = make_dataset(np.random.default_rng(0).normal(size=(5, 2)),

@@ -72,8 +72,11 @@ class TestSamplerConfig:
             small_config(burn_in_fraction=1.0)
         with pytest.raises(ConfigError):
             small_config(burn_in_fraction=0.0)
+        for max_temp in (0.9, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                small_config(max_temp=max_temp)
         with pytest.raises(ConfigError):
-            small_config(max_temp=0.9)
+            small_config(base_seed=-1)
         with pytest.raises(ConfigError):
             small_config(surrogate_hidden=(8,))
 

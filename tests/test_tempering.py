@@ -57,8 +57,9 @@ class TestLadder:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigError):
             build_ladder(1, 5.0)
-        with pytest.raises(ConfigError):
-            build_ladder(4, 0.5)
+        for max_temp in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                build_ladder(4, max_temp)
 
 
 class TestAcceptanceProbability:
@@ -176,8 +177,11 @@ class TestProposals:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ProposalConfig(kind="gibbs")
-        with pytest.raises(ConfigError):
-            ProposalConfig(rw_step_sd=-1.0)
+        for value in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                ProposalConfig(rw_step_sd=value)
+            with pytest.raises(ConfigError):
+                ProposalConfig(lg_learning_rate=value)
         with pytest.raises(ConfigError):
             ProposalConfig(lg_prob=1.5)
 
