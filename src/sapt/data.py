@@ -87,8 +87,9 @@ def load_csv(path, feature_count: int | None = None,
 
     numpy parses the non-blank lines; every row is checked against the
     counts. A count left None is read from the file: the column count
-    minus one (at least one), and the largest label plus one, which may
-    not exceed the row count since split needs a row in every class.
+    minus one (at least one), and the largest label plus one, where
+    every class below it must have a row, as split needs; so an
+    inferred class count never exceeds the row count.
     """
     path = Path(path)
     try:
@@ -118,6 +119,11 @@ def load_csv(path, feature_count: int | None = None,
                               f"{float(labels[bad[0]])!r} is not an integer "
                               f"in 0..{limit - 1}")
     if class_count is None:
+        empty = np.flatnonzero(np.bincount(labels.astype(np.int64)) == 0)
+        if empty.size:
+            raise DataFormatError(f"{path}: class {empty[0]} has no row; "
+                                  f"inferred labels must cover 0.."
+                                  f"{int(labels.max())}")
         class_count = int(labels.max()) + 1
     return make_dataset(features, labels, class_count, name=name or path.stem)
 

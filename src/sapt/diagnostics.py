@@ -7,6 +7,7 @@ the same chain twice produces byte-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +144,12 @@ def compose_report(report: RunReport, summary: AccuracySummary) -> str:
             + surrogate_report(report))
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _lines(row: str, *columns) -> str:
+    """row.format of one value from each column per line, as one string;
+    arrays go through tolist(), which formats as their elements do."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c
+               for c in columns]
+    return "".join(map(row.format, *columns))
 
 
 def emit_posterior(chain: PosteriorChain, out_dir, thin: int = 1) -> list:
@@ -153,7 +158,8 @@ def emit_posterior(chain: PosteriorChain, out_dir, thin: int = 1) -> list:
     posterior_p<k>.csv holds the thinned exploit-phase samples of
     parameter k, one value per line. trace_replica<i>.csv covers every
     step of replica i. histograms.csv bins each parameter's retained
-    samples into 50 equal-width bins. Returns the written paths.
+    samples into 50 equal-width bins. Each file is built as one string
+    and written once. Returns the written paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -163,45 +169,39 @@ def emit_posterior(chain: PosteriorChain, out_dir, thin: int = 1) -> list:
     written = []
     for k in range(chain.parameter_count):
         path = out / f"posterior_p{k}.csv"
-        with open(path, "w") as fh:
-            for value in posterior[:, k]:
-                fh.write(_fmt(value) + "\n")
+        path.write_text(_lines("{:.17g}\n", posterior[:, k]))
         written.append(path)
     for trace in chain.traces:
         path = out / f"trace_replica{trace.replica}.csv"
-        sources, phases = trace.sources, trace.phases
-        with open(path, "w") as fh:
-            fh.write("step,log_lik,source,phase\n")
-            for s in range(trace.steps):
-                fh.write(f"{s},{_fmt(trace.log_liks[s])},"
-                         f"{sources[s]},{phases[s]}\n")
+        path.write_text("step,log_lik,source,phase\n" + _lines(
+            "{},{:.17g},{},{}\n", range(trace.steps), trace.log_liks,
+            trace.sources, trace.phases))
         written.append(path)
     path = out / "histograms.csv"
-    with open(path, "w") as fh:
-        fh.write("parameter,bin_lo,bin_hi,count\n")
-        for k in range(chain.parameter_count):
-            counts, edges = np.histogram(posterior[:, k], bins=HISTOGRAM_BINS)
-            for b in range(HISTOGRAM_BINS):
-                fh.write(f"{k},{_fmt(edges[b])},{_fmt(edges[b + 1])},"
-                         f"{counts[b]}\n")
+    bins = ["parameter,bin_lo,bin_hi,count\n"]
+    for k in range(chain.parameter_count):
+        counts, edges = np.histogram(posterior[:, k], bins=HISTOGRAM_BINS)
+        bins.append(_lines("{},{:.17g},{:.17g},{}\n", repeat(k),
+                           edges[:-1], edges[1:], counts))
+    path.write_text("".join(bins))
     written.append(path)
     return written
 
 
 def write_surrogate_trace(chain: PosteriorChain, path) -> int:
     """One row per surrogate-path step: the pseudo value the sampler used
-    and the true value measured alongside (nan when tracking was off).
-    Returns the row count."""
-    rows = 0
-    with open(path, "w") as fh:
-        fh.write("step,replica,log_lik,source,true_log_lik\n")
-        for trace in chain.traces:
-            for j in range(trace.surrogate_steps.shape[0]):
-                fh.write(f"{trace.surrogate_steps[j]},{trace.replica},"
-                         f"{_fmt(trace.surrogate_estimates[j])},surrogate,"
-                         f"{_fmt(trace.surrogate_truths[j])}\n")
-                rows += 1
-    return rows
+    and the true value there, written as one string. A true value is
+    measured where the chain kept the step's proposal, or at every step
+    when truth tracking was on; nan means it was not measured. Returns
+    the row count."""
+    rows = ["step,replica,log_lik,source,true_log_lik\n"]
+    for trace in chain.traces:
+        rows.append(_lines("{},{},{:.17g},surrogate,{:.17g}\n",
+                           trace.surrogate_steps, repeat(trace.replica),
+                           trace.surrogate_estimates,
+                           trace.surrogate_truths))
+    Path(path).write_text("".join(rows))
+    return sum(trace.surrogate_steps.shape[0] for trace in chain.traces)
 
 
 def write_manifest(path, entries: dict) -> None:

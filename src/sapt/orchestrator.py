@@ -29,14 +29,20 @@ The order in which replicas step within a block never touches these
 streams, so a run is reproduced bit for bit by its seed and settings.
 
 Surrogate estimates never outlive their purpose. An accepted
-surrogate-path step leaves its estimate as the state's log_lik (and
-log_lik_truth not None), which later surrogate-path decisions and swaps
-compare against. Before the next true-path decision the step engine
-re-scores that log_lik to the true value: the truth measured at the
-surrogate step when track_surrogate_truth is on, or one fresh
-likelihood call (counted in rescore_evals, outside true_evals) when it
-is off. Both give the same float and draw nothing, so chains do not
-depend on truth tracking.
+surrogate-path step leaves its estimate as the state's log_lik, which
+later surrogate-path decisions and swaps compare against, and the true
+value at its theta, measured once on acceptance, as log_lik_truth.
+Before the next true-path decision the step engine re-scores log_lik to
+that stored value without a likelihood call. A rejected surrogate-path
+step makes no call, unless track_surrogate_truth (off by default) asks
+for the true value at every surrogate-path step as a diagnostic. The
+stored value is the same call on the same theta either way and draws
+nothing, so chains do not depend on truth tracking, and every
+likelihood call is a start value, a true-path step or a finite entry of
+a trace's surrogate_truths. On the benchmark's traced runs (seed 3,
+2-core host) the default leaves 507 of 804 calls on synth-large and
+5628 of 8004 on cancer-surrogate, a saved fraction of 0.37 and 0.30;
+with tracking on it is 0.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ class SamplerConfig:
     prior: PriorConfig = PriorConfig()
     base_seed: int = 0
     sequential_mode: bool = False
-    track_surrogate_truth: bool = True
+    track_surrogate_truth: bool = False
     surrogate_hidden: tuple = (64, 16)
 
     def __post_init__(self):
@@ -137,7 +143,9 @@ class ReplicaTrace:
     exploit_start: int
     surrogate_steps: np.ndarray      # step indices that took the surrogate path
     surrogate_estimates: np.ndarray  # blended values used at those steps
-    surrogate_truths: np.ndarray     # true values there (nan when untracked)
+    surrogate_truths: np.ndarray     # true values there: measured at
+                                     # accepted steps, at every step when
+                                     # tracked, else nan
 
     @property
     def steps(self) -> int:
@@ -187,9 +195,9 @@ class RunReport:
     swap_attempts: int = 0
     swap_accepts: int = 0
     replica_acceptance: list = field(default_factory=list)
-    rescore_evals: int = 0
     train_rmse: list = field(default_factory=list)  # scaled units, per interval
     prediction_rmse: float | None = None            # raw units
+    truths_measured: int = 0    # surrogate-path steps prediction_rmse covers
     partial: bool = False
     failure: str = ""
 
@@ -206,7 +214,6 @@ class RunReport:
             f"steps_per_replica {self.steps_per_replica}",
             f"true_evals {self.true_evals}",
             f"surrogate_evals {self.surrogate_evals}",
-            f"rescore_evals {self.rescore_evals}",
             f"swap_attempts {self.swap_attempts}",
             f"swap_accepts {self.swap_accepts}",
             f"swap_acceptance_rate {self.swap_acceptance_rate:.8g}",
@@ -218,6 +225,7 @@ class RunReport:
         pred = "n/a" if self.prediction_rmse is None \
             else f"{self.prediction_rmse:.8g}"
         lines.append(f"surrogate_prediction_rmse {pred}")
+        lines.append(f"surrogate_truths_measured {self.truths_measured}")
         lines.append(f"partial {'true' if self.partial else 'false'}")
         if self.failure:
             lines.append(f"failure {self.failure}")
@@ -273,14 +281,6 @@ class _ReplicaRunner:
             exploit_start=int(config.burn_in_fraction * steps),
             surrogate_steps=[], surrogate_estimates=[], surrogate_truths=[])
 
-    def _rescore(self) -> None:
-        """Replace a held surrogate estimate by the true log-likelihood."""
-        truth = self.state.log_lik_truth
-        if math.isnan(truth):
-            truth = self.target.log_likelihood(self.state.theta)
-            self.report.rescore_evals += 1
-        self.state = replace(self.state, log_lik=truth, log_lik_truth=None)
-
     def _one_step(self) -> None:
         s, trace = self.step, self.trace
         if s >= trace.exploit_start and self.state.phase == PHASE_TEMPERED:
@@ -293,28 +293,38 @@ class _ReplicaRunner:
                                         self.target, self.config.proposal,
                                         self.rng, self.state.temperature)
         # it first trains after every replica's surrogate_interval steps
-        if kappa < s_prob and self.surrogate.train_count > 0:
+        surrogate_path = kappa < s_prob and self.surrogate.train_count > 0
+        tracked = surrogate_path and self.config.track_surrogate_truth
+        if surrogate_path:
             estimate = blend(self.surrogate.predict(proposal), self.history)
-            if self.config.track_surrogate_truth:
-                truth = self.target.log_likelihood(proposal)
-            else:
-                truth = math.nan
+            truth = self.target.log_likelihood(proposal) if tracked \
+                else math.nan
             self.report.surrogate_evals += 1
             trace.surrogate_steps.append(s)
             trace.surrogate_estimates.append(estimate)
             trace.surrogate_truths.append(truth)
             evaluated = estimate
         else:
-            if self.state.log_lik_truth is not None:
-                self._rescore()
+            held = self.state.log_lik_truth
+            if held is not None:
+                # re-score the held estimate to the truth stored with it
+                self.state = replace(self.state, log_lik=held,
+                                     log_lik_truth=None)
             truth = None
             evaluated = self.target.log_likelihood(proposal)
             self.report.true_evals += 1
             if s_prob > 0:
                 self._staged.append((proposal, evaluated))
+        accepted = self.state.accepted_count
         self.state = metropolis_step(self.state, proposal, log_q, self.target,
                                      self.rng, proposal_log_lik=evaluated,
                                      estimate_truth=truth)
+        if surrogate_path and not tracked \
+                and self.state.accepted_count > accepted:
+            # the chain keeps the estimate: measure the truth it re-scores to
+            truth = self.target.log_likelihood(proposal)
+            trace.surrogate_truths[-1] = truth
+            self.state = replace(self.state, log_lik_truth=truth)
         self.history.push(evaluated)
         trace.samples[s] = self.state.theta
         trace.log_liks[s] = self.state.log_lik
@@ -383,10 +393,11 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
         truths = np.concatenate([r.trace.surrogate_truths for r in runners])
         estimates = np.concatenate([r.trace.surrogate_estimates
                                     for r in runners])
-        tracked = np.isfinite(truths)
-        if tracked.any():
-            report.prediction_rmse = surrogate_rmse(truths[tracked],
-                                                    estimates[tracked])
+        measured = np.isfinite(truths)
+        report.truths_measured = int(measured.sum())
+        if measured.any():
+            report.prediction_rmse = surrogate_rmse(truths[measured],
+                                                    estimates[measured])
     return [runner.finish() for runner in runners]
 
 

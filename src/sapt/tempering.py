@@ -58,11 +58,13 @@ class ReplicaState:
     steps cost nothing; log_lik is stored untempered. log_lik_truth is
     None while log_lik is the true value. After an accepted
     surrogate-path step, log_lik is the surrogate estimate that decided
-    it, and log_lik_truth is the true value at theta, or nan when it was
-    not measured. The estimate serves later surrogate-path decisions and
-    swaps; the step engine re-scores it to the true value before the
-    next true-path decision. Counters describe the slot, so swaps move
-    theta and the caches (log_lik_truth included) but not the counters.
+    it, and log_lik_truth is the true value at theta, which the step
+    engine measures on acceptance (or earlier, when truth tracking is
+    on). The estimate serves later surrogate-path decisions and swaps;
+    before the next true-path decision the step engine re-scores log_lik
+    to log_lik_truth without a likelihood call. Counters describe the
+    slot, so swaps move theta and the caches (log_lik_truth included)
+    but not the counters.
     """
 
     theta: np.ndarray
@@ -201,7 +203,7 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     Evaluates the target's likelihood at the proposal unless a
     precomputed value is passed in (the surrogate path hands over its
     blended estimate that way, with estimate_truth set to the true
-    value there, or nan when it was not measured). On acceptance the
+    value there, or nan when it is not measured yet). On acceptance the
     returned state carries the proposal, its cached values and
     log_lik_truth=estimate_truth; on rejection only proposed_count
     changes, so the caller's chain records the previous sample again.

@@ -55,6 +55,19 @@ class GaussianToyTarget:
         return mean, np.sqrt(1.0 / precision)
 
 
+class CountingTarget(QuadraticTarget):
+    """Keeps the bytes of every theta its likelihood is called at, in
+    call order."""
+
+    def __init__(self, center):
+        super().__init__(center)
+        self.thetas = []
+
+    def log_likelihood(self, theta):
+        self.thetas.append(np.asarray(theta, dtype=np.float64).tobytes())
+        return super().log_likelihood(theta)
+
+
 class FailingTarget(QuadraticTarget):
     """Raises after a fixed number of likelihood calls."""
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -110,18 +112,29 @@ class TestCsvRoundTrip:
         npt.assert_array_equal(inferred.one_hot, given.one_hot)
         assert inferred.name == given.name == "iris"
 
-    @pytest.mark.parametrize("text, counts", [
-        ("1,2,0\n3,4,2\n", {"class_count": 2}),
-        ("1,2,0\n3,4,5,1\n", {}),
-        ("0\n1\n", {}),
-        ("1,2,0\n3,4,1e300\n", {}),
+    @pytest.mark.parametrize("text, counts, match", [
+        ("1,2,0\n3,4,2\n", {"class_count": 2}, "label 2.0 "),
+        ("1,2,0\n3,4,5,1\n", {}, "columns"),
+        ("0\n1\n", {}, "columns"),
+        ("1,2,0\n3,4,1e300\n", {}, "label 1e"),
+        ("1,0\n" * 1999 + "1,1999\n", {}, "class 1 has no row"),
     ], ids=["label-at-class-count", "column-count-changes",
-            "no-feature-column", "more-classes-than-rows"])
-    def test_inferred_counts_still_check_rows(self, tmp_path, text, counts):
+            "no-feature-column", "more-classes-than-rows",
+            "class-without-rows"])
+    def test_inferred_counts_still_check_rows(self, tmp_path, text, counts,
+                                              match):
         path = tmp_path / "rows.csv"
         path.write_text(text)
-        with pytest.raises(DataFormatError):
-            load_csv(path, **counts)
+        # fails inside load_csv, before a rows x classes one_hot exists:
+        # the 2000 x 2000 float64 one of the last case is 30.5 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=match):
+                load_csv(path, **counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestCsvReference:

@@ -19,6 +19,7 @@ from sapt.exceptions import ConfigError, ContractError
 from sapt.orchestrator import SamplerConfig, run, run_target
 from sapt.tempering import ProposalConfig
 
+import _diagnostics_reference as ref
 from _targets import QuadraticTarget
 
 
@@ -186,6 +187,22 @@ class TestEmission:
         emit_posterior(chain, second, thin=2)
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes()
+
+    @pytest.mark.parametrize("thin", [1, 2])
+    def test_files_match_reference_bytes(self, surrogate_chain, tmp_path,
+                                         thin):
+        chain, _ = surrogate_chain
+        truths = np.concatenate([t.surrogate_truths for t in chain.traces])
+        assert np.isnan(truths).any() and np.isfinite(truths).any()
+        written = emit_posterior(chain, tmp_path / "new", thin=thin)
+        expected = ref.emit_posterior(chain, tmp_path / "ref", thin=thin)
+        assert [p.name for p in written] == [p.name for p in expected]
+        for path, ref_path in zip(written, expected):
+            assert path.read_bytes() == ref_path.read_bytes(), path.name
+        new, old = tmp_path / "surrogate.csv", tmp_path / "ref.csv"
+        assert write_surrogate_trace(chain, new) \
+            == ref.write_surrogate_trace(chain, old)
+        assert new.read_bytes() == old.read_bytes()
 
     def test_surrogate_trace_rows(self, surrogate_chain, tmp_path):
         chain, report = surrogate_chain

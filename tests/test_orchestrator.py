@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ from sapt.orchestrator import (
     run_target,
     swap_sweep,
 )
+from sapt.surrogate import surrogate_rmse
 from sapt.tempering import (
     KIND_LANGEVIN_MIX,
     PHASE_EXPLOIT,
@@ -29,7 +32,7 @@ from sapt.tempering import (
 
 import _bnn_reference
 import _surrogate_reference
-from _targets import FailingTarget, QuadraticTarget
+from _targets import CountingTarget, FailingTarget, QuadraticTarget
 
 DIM = 3
 CENTER = [1.0, -2.0, 0.5]
@@ -209,7 +212,8 @@ class TestRunBasics:
         _, report = run_target(cfg, quad_target(), DIM)
         text = report.to_text()
         for key in ["elapsed_seconds", "replica_count", "true_evals",
-                    "surrogate_evals", "rescore_evals 0", "swap_attempts",
+                    "surrogate_evals", "surrogate_truths_measured 0",
+                    "swap_attempts",
                     "swap_accepts", "partial false"]:
             assert key in text
 
@@ -293,16 +297,55 @@ class TestSurrogatePath:
         sigma = np.sqrt(total * 0.25)
         assert abs(used - 0.5 * total) < 4 * sigma
 
-    def test_truth_tracking_controls_rmse(self):
-        cfg = self.surrogate_cfg(track_surrogate_truth=False)
-        chain, report = run_target(cfg, quad_target(), DIM)
-        assert report.prediction_rmse is None
-        for trace in chain.traces:
-            assert np.all(np.isnan(trace.surrogate_truths))
-        cfg_on = self.surrogate_cfg()
+    @staticmethod
+    def surrogate_decisions(monkeypatch):
+        """Per replica, in stepping order: (proposal bytes, accepted) of
+        each surrogate-path decision, for every run after the call."""
+        decisions = {}
+        original = orchestrator.metropolis_step
+
+        def recording(state, proposal, log_q, tgt, rng, **kw):
+            new = original(state, proposal, log_q, tgt, rng, **kw)
+            rows = decisions.setdefault(rng, [])
+            if kw.get("estimate_truth") is not None:
+                rows.append((proposal.tobytes(),
+                             new.accepted_count > state.accepted_count))
+            return new
+
+        monkeypatch.setattr(orchestrator, "metropolis_step", recording)
+        return decisions
+
+    def test_truth_tracking_controls_rmse(self, monkeypatch):
+        decisions = self.surrogate_decisions(monkeypatch)
+        chain, report = run_target(self.surrogate_cfg(), quad_target(), DIM)
+        kept = [np.array([accepted for _, accepted in rows], dtype=bool)
+                for rows in decisions.values()]
+        cfg_on = self.surrogate_cfg(track_surrogate_truth=True)
         chain_on, report_on = run_target(cfg_on, quad_target(), DIM)
-        assert report_on.prediction_rmse is not None
-        assert report_on.prediction_rmse >= 0.0
+        for trace, trace_on, kept_here in zip(chain.traces, chain_on.traces,
+                                              kept):
+            # untracked: a true value exactly where the chain kept the
+            # estimate, the one tracking measures there; tracked: everywhere
+            npt.assert_array_equal(np.isfinite(trace.surrogate_truths),
+                                   kept_here)
+            npt.assert_array_equal(trace.surrogate_truths[kept_here],
+                                   trace_on.surrogate_truths[kept_here])
+            assert np.all(np.isfinite(trace_on.surrogate_truths))
+        kept = np.concatenate(kept)
+        assert 0 < kept.sum() < kept.size
+        truths = np.concatenate([t.surrogate_truths for t in chain_on.traces])
+        estimates = np.concatenate([t.surrogate_estimates
+                                    for t in chain.traces])
+        # each RMSE covers the true values its run measured, and says how
+        # many those were
+        assert report.truths_measured == kept.sum()
+        assert report.prediction_rmse == surrogate_rmse(truths[kept],
+                                                        estimates[kept])
+        assert report_on.truths_measured == report_on.surrogate_evals
+        assert report_on.prediction_rmse == surrogate_rmse(truths, estimates)
+        for rep in (report, report_on):
+            assert (f"surrogate_truths_measured {rep.truths_measured}"
+                    in rep.to_text().splitlines())
         # diagnostic evaluations stay outside the replacement accounting
         # and never touch the sampling streams
         assert report.true_evals == report_on.true_evals
@@ -310,20 +353,32 @@ class TestSurrogatePath:
         npt.assert_array_equal(chain.traces[0].samples,
                                chain_on.traces[0].samples)
 
-    def test_rescore_keeps_chains_independent_of_tracking(self):
-        chain_on, rep_on = run_target(self.surrogate_cfg(), quad_target(), DIM)
-        chain_off, rep_off = run_target(
-            self.surrogate_cfg(track_surrogate_truth=False), quad_target(), DIM)
+    def test_rescore_keeps_chains_independent_of_tracking(self, monkeypatch):
+        decisions = self.surrogate_decisions(monkeypatch)
+        runs = {}
+        for track in (True, False):
+            target = CountingTarget(CENTER)
+            chain, report = run_target(
+                self.surrogate_cfg(track_surrogate_truth=track), target, DIM)
+            runs[track] = chain, target.thetas
+            # every call is a start value, a true-path step or a stored
+            # true value; re-scoring a held estimate makes none
+            measured = sum(int(np.isfinite(t.surrogate_truths).sum())
+                           for t in chain.traces)
+            assert report.truths_measured == measured > 0
+            assert len(target.thetas) == report.true_evals + measured + 3
+            assert report.true_evals + report.surrogate_evals == 1800
+            # a surrogate-path proposal is measured once when tracked or
+            # kept; a rejected untracked one makes no call
+            called = Counter(target.thetas)
+            for rows in list(decisions.values())[-3:]:
+                for proposal, accepted in rows:
+                    assert called[proposal] == int(track or accepted)
+        (chain_on, calls_on), (chain_off, calls_off) = runs[True], runs[False]
         for t_on, t_off in zip(chain_on.traces, chain_off.traces):
             npt.assert_array_equal(t_on.samples, t_off.samples)
             npt.assert_array_equal(t_on.log_liks, t_off.log_liks)
-        # tracked truths are reused, so re-scoring costs nothing extra
-        assert rep_on.rescore_evals == 0
-        assert rep_off.rescore_evals > 0
-        assert f"rescore_evals {rep_off.rescore_evals}" in rep_off.to_text()
-        # re-scores stay outside the replacement accounting
-        for report in (rep_on, rep_off):
-            assert report.true_evals + report.surrogate_evals == 1800
+        assert len(calls_off) < len(calls_on)
 
     @pytest.mark.parametrize("track", [True, False])
     def test_true_path_never_compares_against_estimate(self, monkeypatch,
@@ -415,28 +470,55 @@ class TestFailurePaths:
         assert chain.traces == []
 
     @pytest.mark.parametrize("track", [True, False])
-    def test_partial_report_keeps_every_counter(self, track):
-        # 500 likelihood calls make the first three intervals of 50
-        # steps (four without truth tracking); the next fails part way
+    def test_partial_report_keeps_every_counter(self, monkeypatch, track):
+        # the run fails at its 501st likelihood call. A refit runs after
+        # its interval's calls, so the failing run refits wherever the
+        # same run on a target that never fails has made at most 500 calls
+        # by then: 3 + 150 * k before refit k with tracking on, where
+        # every step makes one. Without it a rejected surrogate-path step
+        # makes none, but this target accepts most of them: 446 calls
+        # before refit 3 and 596 before refit 4, so 3 refits either way
         cfg = small_config(total_samples=1800, swap_interval=25,
                            surrogate_interval=50, surrogate_prob=0.5,
                            track_surrogate_truth=track)
+        counting = CountingTarget(CENTER)
+        calls_at_refit = []
+        original = orchestrator.SurrogateModel.train
+
+        def counted(model, batch, *args, **kwargs):
+            calls_at_refit.append(len(counting.thetas))
+            return original(model, batch, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator.SurrogateModel, "train", counted)
+        run_target(cfg, counting, DIM)
+        refits = sum(calls <= 500 for calls in calls_at_refit)
+        if track:
+            assert calls_at_refit == [3 + 150 * k for k in range(1, 13)]
+        else:
+            assert calls_at_refit[2:4] == [446, 596]
+        assert refits == 3
+
         target = FailingTarget(center=CENTER, fail_after=500)
         chain, report = run_target(cfg, target, DIM)
         assert report.partial
         assert report.swap_attempts > 0
-        assert len(report.train_rmse) == (3 if track else 4)
+        assert len(report.train_rmse) == refits
         assert chain.traces == []
         # every successful likelihood call is a start value, a true-path
-        # step, or a tracked truth (tracking on) or a re-score (off)
-        extra = report.surrogate_evals if track else report.rescore_evals
-        assert report.true_evals > 0 and extra > 0
-        assert report.true_evals + extra + cfg.replica_count == 500
+        # step or a measured true value, tracked or kept
+        assert report.true_evals > 0 and report.truths_measured > 0
+        assert report.true_evals + report.truths_measured \
+            + cfg.replica_count == 500
+        if track:
+            assert report.truths_measured == report.surrogate_evals
+        else:
+            assert report.truths_measured < report.surrogate_evals
         assert len(report.replica_acceptance) == cfg.replica_count
         text = report.to_text().splitlines()
-        for key in ("true_evals", "surrogate_evals", "rescore_evals",
-                    "swap_attempts", "swap_accepts"):
+        for key in ("true_evals", "surrogate_evals", "swap_attempts",
+                    "swap_accepts"):
             assert f"{key} {getattr(report, key)}" in text
+        assert f"surrogate_truths_measured {report.truths_measured}" in text
         for i, rate in enumerate(report.replica_acceptance):
             assert f"acceptance_rate_replica{i} {rate:.8g}" in text
         for k, rmse in enumerate(report.train_rmse, start=1):
