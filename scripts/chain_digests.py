@@ -11,12 +11,11 @@ For every configuration the script prints four hashes per side:
 * chain: perfbench's chain digest of every replica's samples and
   log-likelihood trace;
 * surrogate: every trace's surrogate steps, estimates and truths;
-* report: the report.txt text (RunReport, accuracy and surrogate
-  blocks) without its elapsed_seconds and elapsed_minutes lines, and
-  with the surrogate stub cut to its "surrogate not applicable" prefix,
-  whose parenthesised reason is prose. Only the lines whose key both
-  sides write are hashed; keys that one side alone writes (a report
-  schema change) are listed after the table and not compared;
+* report: the report.txt lines without blanks and without the
+  elapsed_seconds and elapsed_minutes lines. Only the lines whose key
+  both sides write are hashed, sorted, so a line that moved is still
+  equal; keys that one side alone writes (a report schema change) are
+  listed after the table and not compared;
 * data: the bytes of the teacher CSV that the copy's save_csv wrote,
   then the train and test features and labels the run sampled from.
 
@@ -39,7 +38,6 @@ from bench_pairs import ROOT, export_base, export_working_tree
 
 DIGESTS_DIR = ROOT / ".bench_build" / "digests"
 HASHES = ("chain", "surrogate", "report", "data")
-STUB = "surrogate not applicable"
 
 # (label, workload or "nine-class", sub-seed, SamplerConfig overrides);
 # the sub-seeds are those perfbench/run.py makes from --seed 1 and 5, and
@@ -48,15 +46,9 @@ MATRIX = [
     *[(f"{name}/{s}", name, s, {})
       for name in ("iris-lg", "cancer-surrogate") for s in (1000, 1010, 5000)],
     ("synth-large/1000", "synth-large", 1000, {}),
-    # the default runs measure true values only where a chain keeps a
-    # surrogate estimate; this one measures every surrogate-path step
-    ("synth-large/1000/track-True", "synth-large", 1000,
-     {"track_surrogate_truth": True}),
-    *[(f"cancer-lg-surrogate/interval{interval}/track-{track}",
-       "cancer-surrogate", 1000,
-       {"lg_prob": 0.5, "surrogate_interval": interval,
-        "track_surrogate_truth": track})
-      for interval in (50, 150) for track in (True, False)],
+    *[(f"cancer-lg-surrogate/interval{interval}", "cancer-surrogate", 1000,
+       {"lg_prob": 0.5, "surrogate_interval": interval})
+      for interval in (50, 150)],
     ("nine-class/lg_prob1", "nine-class", 1000,
      {"lg_prob": 1.0, "surrogate_prob": 0.5}),
     # 2010 steps per replica: the last block has 10 steps, then a refit
@@ -64,8 +56,8 @@ MATRIX = [
      {"total_samples": 4 * 2010}),
     # nearly every step takes the surrogate path, so most intervals stage
     # no true-likelihood rows and skip training (33 of 40; 7 refit)
-    ("cancer-surrogate/prob0.999-untracked", "cancer-surrogate", 1000,
-     {"surrogate_prob": 0.999, "track_surrogate_truth": False}),
+    ("cancer-surrogate/prob0.999", "cancer-surrogate", 1000,
+     {"surrogate_prob": 0.999}),
 ]
 
 
@@ -129,11 +121,10 @@ def run_matrix(checkout: Path) -> None:
             summary = diagnostics.posterior_accuracy(
                 chain, train, test, topology, thin=pipeline.THIN,
                 elapsed_seconds=report.elapsed_seconds)
-            text = [STUB if line.startswith(STUB) else line
-                    for line in diagnostics.compose_report(
-                        report, summary).splitlines()
-                    if not line.startswith(("elapsed_seconds ",
-                                            "elapsed_minutes "))]
+            lines = diagnostics.compose_report(report, summary).splitlines()
+            text = [line for line in lines
+                    if line and not line.startswith(("elapsed_seconds ",
+                                                     "elapsed_minutes "))]
             data = csv_hash.copy()
             for side in (train, test):
                 for values in (side.features, side.labels):
@@ -158,15 +149,16 @@ def report_key(line: str) -> str:
 
 
 def hash_shared_reports(base: dict, change: dict) -> set:
-    """Replace both sides' report lines by a hash of the lines whose key
-    both write; returns the (side, key) pairs that only one side writes."""
+    """Replace both sides' report lines by a hash of the sorted lines
+    whose key both write; returns the (side, key) pairs that only one
+    side writes."""
     keys = {side: {report_key(line) for line in row["report"]}
             for side, row in (("base", base), ("change", change))}
     shared = keys["base"] & keys["change"]
     for row in (base, change):
-        row["report"] = hashlib.sha256("\n".join(
+        row["report"] = hashlib.sha256("\n".join(sorted(
             line for line in row["report"]
-            if report_key(line) in shared).encode()).hexdigest()
+            if report_key(line) in shared)).encode()).hexdigest()
     return {(side, key) for side in keys for key in keys[side] - shared}
 
 

@@ -12,8 +12,7 @@ from .bnn import (BnnPosterior, NetworkTopology, PriorConfig,
                   log_prior_gradient, predict_accuracy, sse_gradient)
 from .data import (Dataset, load_csv, load_registered, load_registry,
                    one_hot, split)
-from .diagnostics import (AccuracySummary, emit_posterior,
-                          posterior_accuracy, surrogate_report)
+from .diagnostics import AccuracySummary, emit_posterior, posterior_accuracy
 from .exceptions import ConfigError, ContractError, DataFormatError
 from .orchestrator import (PosteriorChain, ReplicaTrace, RunReport,
                            SamplerConfig, run, run_target, swap_sweep)
@@ -38,6 +37,6 @@ __all__ = [
     "make_proposal", "metropolis_step", "one_hot",
     "posterior_accuracy", "predict_accuracy", "propose_langevin",
     "propose_rw", "run", "run_target", "split", "sse_gradient",
-    "surrogate_report", "surrogate_rmse", "swap_probability", "swap_sweep",
+    "surrogate_rmse", "swap_probability", "swap_sweep",
     "__version__",
 ]

@@ -62,8 +62,8 @@ class PriorConfig:
     sigma_sq: float = 25.0
 
     def __post_init__(self):
-        if not self.sigma_sq > 0:
-            raise ContractError(f"prior variance must be positive, got {self.sigma_sq}")
+        if not 0 < self.sigma_sq < np.inf:
+            raise ContractError(f"prior variance must lie in (0, inf), got {self.sigma_sq}")
 
 
 def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ split() min-max scales both sides with the train rows' statistics.
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import os
 from dataclasses import dataclass
@@ -81,28 +82,48 @@ def make_dataset(features, labels, class_count: int,
     return Dataset(features, labels, one_hot(labels, class_count), name)
 
 
+def _file_line(raw, row: int) -> int:
+    """The line, counted from 1, of the row-th non-blank line of raw."""
+    return [n for n, line in enumerate(raw, 1) if not line.isspace()][row]
+
+
+def _rejects(lines) -> bool:
+    try:
+        np.loadtxt(lines, delimiter=",", comments=None)
+    except ValueError:
+        return True
+    return False
+
+
 def load_csv(path, feature_count: int | None = None,
              class_count: int | None = None, name: str = "") -> Dataset:
     """Parse a label-last CSV file into an unnormalized Dataset.
 
     numpy parses the non-blank lines; every row is checked against the
-    counts. A count left None is read from the file: the column count
-    minus one (at least one), and the largest label plus one, where
-    every class below it must have a row, as split needs; so an
-    inferred class count never exceeds the row count.
+    counts, and an error about a row names its line in the file,
+    counted from 1 with blank lines included. A count left None is
+    read from the file: the column count minus one (at least one), and
+    the largest label plus one, where every class below it must have a
+    row, as split needs; so an inferred class count never exceeds the
+    row count.
     """
     path = Path(path)
     try:
         with open(path) as fh:
-            lines = [line for line in fh if not line.isspace()]
+            raw = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: cannot read as text: {exc}") from None
+    lines = [line for line in raw if not line.isspace()]
     if not lines:
         raise DataFormatError(f"{path}: no data rows")
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        # the shortest prefix numpy rejects ends at the line its error is on
+        bad = bisect.bisect_left(range(len(lines)), True,
+                                 key=lambda k: _rejects(lines[:k + 1]))
+        raise DataFormatError(f"{path}: line {_file_line(raw, bad)}: "
+                              f"{str(exc).split(' at row ')[0]}") from None
     if feature_count is None:
         feature_count = max(table.shape[1] - 1, 1)
     if table.shape[1] != feature_count + 1:
@@ -115,7 +136,7 @@ def load_csv(path, feature_count: int | None = None,
     bad = np.flatnonzero(~((labels >= 0) & (labels < limit)
                            & (labels == np.floor(labels))))
     if bad.size:
-        raise DataFormatError(f"{path}: data row {bad[0] + 1}: label "
+        raise DataFormatError(f"{path}: line {_file_line(raw, bad[0])}: label "
                               f"{float(labels[bad[0]])!r} is not an integer "
                               f"in 0..{limit - 1}")
     if class_count is None:

@@ -111,37 +111,9 @@ def posterior_accuracy(chain: PosteriorChain, train, test,
     raise ConfigError(f"unknown accuracy mode {mode!r}")
 
 
-def surrogate_report(report: RunReport) -> str:
-    """Text block describing surrogate quality, or a not-applicable stub
-    when the run made no refit and took no surrogate-path step.
-
-    Prediction RMSE is in raw log-likelihood units; the per-interval
-    training RMSE statistics are in the scaler's [0,1] units, which is
-    why the two columns differ by orders of magnitude.
-    """
-    if report.surrogate_evals == 0 and not report.train_rmse:
-        return ("surrogate not applicable "
-                "(no surrogate refit or surrogate-path step)\n"
-                "surrogate_prediction_rmse_raw n/a\n"
-                "surrogate_train_rmse_mean_scaled n/a\n"
-                "surrogate_train_rmse_std_scaled n/a\n")
-    pred = "n/a" if report.prediction_rmse is None \
-        else f"{report.prediction_rmse:.8g}"
-    if report.train_rmse:
-        rmse = np.asarray(report.train_rmse)
-        mean = f"{rmse.mean():.8g}"
-        std = f"{rmse.std():.8g}"
-    else:
-        mean = std = "n/a"
-    return (f"surrogate_path_steps {report.surrogate_evals}\n"
-            f"surrogate_prediction_rmse_raw {pred}\n"
-            f"surrogate_train_rmse_mean_scaled {mean}\n"
-            f"surrogate_train_rmse_std_scaled {std}\n")
-
-
 def compose_report(report: RunReport, summary: AccuracySummary) -> str:
-    return (report.to_text() + "\n" + summary.to_text() + "\n"
-            + surrogate_report(report))
+    """report.txt: the RunReport lines, a blank line, the accuracy lines."""
+    return report.to_text() + "\n" + summary.to_text()
 
 
 def _lines(row: str, *columns) -> str:
@@ -191,9 +163,8 @@ def emit_posterior(chain: PosteriorChain, out_dir, thin: int = 1) -> list:
 def write_surrogate_trace(chain: PosteriorChain, path) -> int:
     """One row per surrogate-path step: the pseudo value the sampler used
     and the true value there, written as one string. A true value is
-    measured where the chain kept the step's proposal, or at every step
-    when truth tracking was on; nan means it was not measured. Returns
-    the row count."""
+    measured where the chain kept the step's proposal; nan means it was
+    not measured. Returns the row count."""
     rows = ["step,replica,log_lik,source,true_log_lik\n"]
     for trace in chain.traces:
         rows.append(_lines("{},{},{:.17g},surrogate,{:.17g}\n",

@@ -34,15 +34,9 @@ later surrogate-path decisions and swaps compare against, and the true
 value at its theta, measured once on acceptance, as log_lik_truth.
 Before the next true-path decision the step engine re-scores log_lik to
 that stored value without a likelihood call. A rejected surrogate-path
-step makes no call, unless track_surrogate_truth (off by default) asks
-for the true value at every surrogate-path step as a diagnostic. The
-stored value is the same call on the same theta either way and draws
-nothing, so chains do not depend on truth tracking, and every
-likelihood call is a start value, a true-path step or a finite entry of
-a trace's surrogate_truths. On the benchmark's traced runs (seed 3,
-2-core host) the default leaves 507 of 804 calls on synth-large and
-5628 of 8004 on cancer-surrogate, a saved fraction of 0.37 and 0.30;
-with tracking on it is 0.
+step makes no call. The measurement draws nothing, so every likelihood
+call is a start value, a true-path step or a finite entry of a trace's
+surrogate_truths.
 """
 
 from __future__ import annotations
@@ -91,7 +85,6 @@ class SamplerConfig:
     prior: PriorConfig = PriorConfig()
     base_seed: int = 0
     sequential_mode: bool = False
-    track_surrogate_truth: bool = False
     surrogate_hidden: tuple = (64, 16)
 
     def __post_init__(self):
@@ -143,9 +136,8 @@ class ReplicaTrace:
     exploit_start: int
     surrogate_steps: np.ndarray      # step indices that took the surrogate path
     surrogate_estimates: np.ndarray  # blended values used at those steps
-    surrogate_truths: np.ndarray     # true values there: measured at
-                                     # accepted steps, at every step when
-                                     # tracked, else nan
+    surrogate_truths: np.ndarray     # true values there, measured at
+                                     # accepted steps, else nan
 
     @property
     def steps(self) -> int:
@@ -182,10 +174,15 @@ class PosteriorChain:
         return np.concatenate(parts)
 
 
+def _value(x) -> str:
+    return "n/a" if x is None else f"{x:.8g}"
+
+
 @dataclass
 class RunReport:
     """Run counters, written while sampling, so a partial report holds
-    every counter a full one does; to_text() is the emitted schema."""
+    every counter a full one does; to_text() is the emitted schema, the
+    same keys for every run, with n/a for a figure the run lacks."""
 
     elapsed_seconds: float
     replica_count: int
@@ -222,11 +219,15 @@ class RunReport:
             lines.append(f"acceptance_rate_replica{i} {rate:.8g}")
         for k, rmse in enumerate(self.train_rmse, start=1):
             lines.append(f"surrogate_train_rmse_interval{k} {rmse:.8g}")
-        pred = "n/a" if self.prediction_rmse is None \
-            else f"{self.prediction_rmse:.8g}"
-        lines.append(f"surrogate_prediction_rmse {pred}")
-        lines.append(f"surrogate_truths_measured {self.truths_measured}")
-        lines.append(f"partial {'true' if self.partial else 'false'}")
+        train = np.asarray(self.train_rmse)
+        mean, std = (train.mean(), train.std()) if train.size else (None, None)
+        lines += [
+            f"surrogate_train_rmse_mean_scaled {_value(mean)}",
+            f"surrogate_train_rmse_std_scaled {_value(std)}",
+            f"surrogate_prediction_rmse {_value(self.prediction_rmse)}",
+            f"surrogate_truths_measured {self.truths_measured}",
+            f"partial {'true' if self.partial else 'false'}",
+        ]
         if self.failure:
             lines.append(f"failure {self.failure}")
         return "\n".join(lines) + "\n"
@@ -294,33 +295,26 @@ class _ReplicaRunner:
                                         self.rng, self.state.temperature)
         # it first trains after every replica's surrogate_interval steps
         surrogate_path = kappa < s_prob and self.surrogate.train_count > 0
-        tracked = surrogate_path and self.config.track_surrogate_truth
         if surrogate_path:
-            estimate = blend(self.surrogate.predict(proposal), self.history)
-            truth = self.target.log_likelihood(proposal) if tracked \
-                else math.nan
+            evaluated = blend(self.surrogate.predict(proposal), self.history)
             self.report.surrogate_evals += 1
             trace.surrogate_steps.append(s)
-            trace.surrogate_estimates.append(estimate)
-            trace.surrogate_truths.append(truth)
-            evaluated = estimate
+            trace.surrogate_estimates.append(evaluated)
+            trace.surrogate_truths.append(math.nan)
         else:
             held = self.state.log_lik_truth
             if held is not None:
                 # re-score the held estimate to the truth stored with it
                 self.state = replace(self.state, log_lik=held,
                                      log_lik_truth=None)
-            truth = None
             evaluated = self.target.log_likelihood(proposal)
             self.report.true_evals += 1
             if s_prob > 0:
                 self._staged.append((proposal, evaluated))
         accepted = self.state.accepted_count
         self.state = metropolis_step(self.state, proposal, log_q, self.target,
-                                     self.rng, proposal_log_lik=evaluated,
-                                     estimate_truth=truth)
-        if surrogate_path and not tracked \
-                and self.state.accepted_count > accepted:
+                                     self.rng, proposal_log_lik=evaluated)
+        if surrogate_path and self.state.accepted_count > accepted:
             # the chain keeps the estimate: measure the truth it re-scores to
             truth = self.target.log_likelihood(proposal)
             trace.surrogate_truths[-1] = truth

@@ -57,14 +57,11 @@ class ReplicaState:
     log_lik and log_prior cache the current theta's values so rejected
     steps cost nothing; log_lik is stored untempered. log_lik_truth is
     None while log_lik is the true value. After an accepted
-    surrogate-path step, log_lik is the surrogate estimate that decided
-    it, and log_lik_truth is the true value at theta, which the step
-    engine measures on acceptance (or earlier, when truth tracking is
-    on). The estimate serves later surrogate-path decisions and swaps;
-    before the next true-path decision the step engine re-scores log_lik
-    to log_lik_truth without a likelihood call. Counters describe the
-    slot, so swaps move theta and the caches (log_lik_truth included)
-    but not the counters.
+    surrogate-path step, log_lik is the estimate that decided it and
+    log_lik_truth the finite true value at theta, which the step engine
+    measures then and re-scores log_lik to before the next true-path
+    decision. Counters describe the slot, so swaps move theta and the
+    caches (log_lik_truth included) but not the counters.
     """
 
     theta: np.ndarray
@@ -196,17 +193,15 @@ def acceptance_probability(delta_log_lik: float, temperature: float,
 
 def metropolis_step(state: ReplicaState, proposal: np.ndarray,
                     log_q_ratio: float, target, rng,
-                    proposal_log_lik: float | None = None,
-                    estimate_truth: float | None = None) -> ReplicaState:
+                    proposal_log_lik: float | None = None) -> ReplicaState:
     """One tempered accept/reject decision for a replica.
 
     Evaluates the target's likelihood at the proposal unless a
     precomputed value is passed in (the surrogate path hands over its
-    blended estimate that way, with estimate_truth set to the true
-    value there, or nan when it is not measured yet). On acceptance the
-    returned state carries the proposal, its cached values and
-    log_lik_truth=estimate_truth; on rejection only proposed_count
-    changes, so the caller's chain records the previous sample again.
+    blended estimate that way). On acceptance the returned state
+    carries the proposal, its cached values and log_lik_truth=None; on
+    rejection only proposed_count changes, so the caller's chain
+    records the previous sample again.
     A non-finite acceptance exponent rejects and logs a diagnostic.
     """
     prop_ll = float(proposal_log_lik) if proposal_log_lik is not None \
@@ -223,7 +218,7 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
         accept = u <= prob
     if accept:
         return replace(state, theta=proposal, log_lik=prop_ll,
-                       log_prior=prop_lp, log_lik_truth=estimate_truth,
+                       log_prior=prop_lp, log_lik_truth=None,
                        accepted_count=state.accepted_count + 1,
                        proposed_count=state.proposed_count + 1)
     return replace(state, proposed_count=state.proposed_count + 1)

@@ -196,6 +196,13 @@ class TestLogPrior:
                             rtol=1e-14)
 
 
+    def test_variance_must_be_positive_and_finite(self):
+        # at inf log_prior is -inf everywhere and every step is rejected
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ContractError):
+                PriorConfig(bad)
+
+
 class TestLogDensityGradients:
     def test_log_likelihood_matches_finite_differences(self):
         rng = np.random.default_rng(25)

@@ -69,8 +69,9 @@ class TestErrors:
     @pytest.mark.parametrize("extra", [
         ["--max-temp", "nan"], ["--rw-sd", "nan"], ["--rw-sd", "inf"],
         ["--proposal", "lg", "--lg-rate", "inf"], ["--seed", "-1"],
+        ["--prior-var", "inf"],
     ], ids=["max-temp-nan", "rw-sd-nan", "rw-sd-inf", "lg-rate-inf",
-            "negative-seed"])
+            "negative-seed", "prior-var-inf"])
     def test_out_of_range_value_is_reported(self, capsys, tmp_path, extra):
         code = run_cli(["--replicas", "2", "--samples", "200",
                         "--swap-interval", "10", "--surrogate-interval", "10",
@@ -105,7 +106,7 @@ class TestRuns:
         report = (out / "report.txt").read_text()
         assert "replica_count 2" in report
         assert "partial false" in report
-        assert "surrogate not applicable" in report
+        assert "surrogate_prediction_rmse n/a" in report.splitlines()
         manifest = (out / "manifest.txt").read_text()
         assert "dataset iris" in manifest
         assert "base_seed 1" in manifest
@@ -121,8 +122,10 @@ class TestRuns:
         assert run_cli(self.small_args(out, extra)) == 0
         stdout = capsys.readouterr().out
         assert (out / "surrogate_trace.csv").exists()
-        report = (out / "report.txt").read_text()
-        assert "surrogate_path_steps" in report
+        report = dict(line.split(" ", 1) for line in
+                      (out / "report.txt").read_text().splitlines() if line)
+        assert int(report["surrogate_evals"]) > 0
+        assert report["surrogate_train_rmse_mean_scaled"] != "n/a"
 
     def test_runs_are_reproducible(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -95,8 +95,21 @@ class TestCsvRoundTrip:
     def test_label_error_names_row_and_value(self, tmp_path):
         path = tmp_path / "lab.csv"
         path.write_text("1,2,0\n\n3,4,1.5\n")
-        with pytest.raises(DataFormatError, match="data row 2: label 1.5 "):
+        with pytest.raises(DataFormatError,
+                           match=r"lab\.csv: line 3: label 1\.5 "):
             load_csv(path, 2, 2)
+
+    @pytest.mark.parametrize("text, match", [
+        ("1,2,0\n\n1,x,0\n", r"rows\.csv: line 3: could not convert "
+                             r"string 'x' to float64$"),
+        ("1,2,0\n\n \n3,4,5,1\n", r"rows\.csv: line 4: the number of "
+                                r"columns changed from 3 to 4$"),
+    ], ids=["bad-field", "ragged-row"])
+    def test_parse_error_names_file_line(self, tmp_path, text, match):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match):
+            load_csv(path)
 
     def test_malformed_input(self, malformed_csv):
         with pytest.raises(DataFormatError):

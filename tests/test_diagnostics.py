@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,6 @@ from sapt.diagnostics import (
     compose_report,
     emit_posterior,
     posterior_accuracy,
-    surrogate_report,
     write_manifest,
     write_surrogate_trace,
 )
@@ -20,7 +21,11 @@ from sapt.orchestrator import SamplerConfig, run, run_target
 from sapt.tempering import ProposalConfig
 
 import _diagnostics_reference as ref
-from _targets import QuadraticTarget
+from _targets import FailingTarget, QuadraticTarget
+
+SURROGATE_FIGURES = ("surrogate_train_rmse_mean_scaled",
+                     "surrogate_train_rmse_std_scaled",
+                     "surrogate_prediction_rmse")
 
 
 @pytest.fixture(scope="module")
@@ -119,29 +124,54 @@ class TestPosteriorAccuracy:
                                tiny_topology)
 
 
+def report_keys(text: str) -> set:
+    """The keys of a report's non-blank lines, each checked to be
+    `key value` and written once, without the indexed per-replica and
+    per-interval keys."""
+    lines = [line for line in text.splitlines() if line]
+    for line in lines:
+        assert re.fullmatch(r"[a-z0-9_]+ \S+", line), line
+    keys = [line.split(" ")[0] for line in lines]
+    assert len(set(keys)) == len(keys)
+    return {key for key in keys if not re.fullmatch(
+        r"(acceptance_rate_replica|surrogate_train_rmse_interval)\d+", key)}
+
+
 class TestReports:
     def test_stub_without_surrogate(self, bnn_chain):
+        # without the surrogate, its figures are n/a under the same keys
         _, report = bnn_chain
-        text = surrogate_report(report)
-        assert "not applicable" in text
-        assert "surrogate_prediction_rmse_raw n/a" in text
+        text = report.to_text().splitlines()
+        for key in SURROGATE_FIGURES:
+            assert f"{key} n/a" in text
+        assert "surrogate_evals 0" in text
+        assert "surrogate_truths_measured 0" in text
 
     def test_stub_when_budget_ends_before_first_refit(self):
         # surrogate_prob > 0, but 40 steps per replica end before the
-        # first refit at step 50: the stub must not blame surrogate_prob
+        # first refit at step 50: no figure to write, so each reads n/a
         cfg = SamplerConfig(replica_count=2, total_samples=80,
                             swap_interval=10, surrogate_interval=50,
                             surrogate_prob=0.5, base_seed=3)
         _, report = run_target(cfg, QuadraticTarget(center=[0.5, -0.5]), 2)
         assert report.train_rmse == [] and report.surrogate_evals == 0
-        assert surrogate_report(report).splitlines()[0] == (
-            "surrogate not applicable "
-            "(no surrogate refit or surrogate-path step)")
+        text = report.to_text().splitlines()
+        for key in SURROGATE_FIGURES:
+            assert f"{key} n/a" in text
+        assert not any(line.startswith("surrogate_train_rmse_interval")
+                       for line in text)
 
     def test_surrogate_block(self, surrogate_chain):
         _, report = surrogate_chain
-        text = surrogate_report(report)
-        assert f"surrogate_path_steps {report.surrogate_evals}" in text
+        text = report.to_text()
+        rmse = np.asarray(report.train_rmse)
+        assert rmse.size > 0 and report.prediction_rmse is not None
+        for line in (f"surrogate_evals {report.surrogate_evals}",
+                     f"surrogate_train_rmse_mean_scaled {rmse.mean():.8g}",
+                     f"surrogate_train_rmse_std_scaled {rmse.std():.8g}",
+                     f"surrogate_prediction_rmse "
+                     f"{report.prediction_rmse:.8g}"):
+            assert line in text.splitlines()
         assert "n/a" not in text
 
     def test_compose_report_sections(self, bnn_chain, tiny_dataset,
@@ -150,9 +180,32 @@ class TestReports:
         summary = posterior_accuracy(chain, tiny_dataset, tiny_dataset,
                                      tiny_topology, thin=5)
         text = compose_report(report, summary)
+        assert text == report.to_text() + "\n" + summary.to_text()
         for key in ["replica_count 2", "test_accuracy_mean",
-                    "surrogate_prediction_rmse_raw"]:
+                    "surrogate_prediction_rmse n/a"]:
             assert key in text
+
+    def test_every_run_writes_one_key_schema(self, bnn_chain,
+                                             surrogate_chain, tiny_dataset,
+                                             tiny_topology):
+        chain, plain = bnn_chain
+        _, surrogate = surrogate_chain
+        assert plain.surrogate_evals == 0 < surrogate.surrogate_evals
+        summary = posterior_accuracy(chain, tiny_dataset, tiny_dataset,
+                                     tiny_topology, thin=5)
+        keys = report_keys(compose_report(plain, summary))
+        assert report_keys(compose_report(surrogate, summary)) == keys
+        # a run that fails part way writes the same RunReport keys
+        cfg = SamplerConfig(replica_count=2, total_samples=800,
+                            swap_interval=20, surrogate_interval=40,
+                            surrogate_prob=0.5, max_temp=3.0, base_seed=6)
+        _, partial = run_target(
+            cfg, FailingTarget(center=[0.5, -0.5], fail_after=300), 2)
+        assert partial.partial and partial.train_rmse
+        lines = partial.to_text().splitlines()
+        assert lines[-1] == f"failure {partial.failure}"
+        assert report_keys("\n".join(lines[:-1])) \
+            == report_keys(surrogate.to_text())
 
 
 class TestEmission:

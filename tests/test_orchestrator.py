@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import numpy.testing as npt
@@ -40,6 +42,46 @@ CENTER = [1.0, -2.0, 0.5]
 
 def quad_target():
     return QuadraticTarget(center=CENTER)
+
+
+class Decision(NamedTuple):
+    before: ReplicaState
+    proposal: np.ndarray
+    log_lik: float        # the value the decision compared
+    after: ReplicaState   # as metropolis_step returned it
+    surrogate: bool       # orchestrator.blend made log_lik
+
+    @property
+    def accepted(self) -> bool:
+        return self.after.accepted_count > self.before.accepted_count
+
+
+def record_decisions(monkeypatch) -> dict:
+    """Every Metropolis decision of the runs that follow, per replica
+    (keyed by its generator) in stepping order. A decision took the
+    surrogate path when orchestrator.blend made the value it compared."""
+    decisions = {}
+    blended = []
+    original_blend = orchestrator.blend
+    original_step = orchestrator.metropolis_step
+
+    def blending(*args):
+        blended.append(original_blend(*args))
+        return blended[-1]
+
+    def recording(state, proposal, log_q, tgt, rng, **kw):
+        value = kw["proposal_log_lik"]
+        surrogate = bool(blended)
+        if surrogate:
+            assert blended.pop() == value
+        new = original_step(state, proposal, log_q, tgt, rng, **kw)
+        decisions.setdefault(rng, []).append(
+            Decision(state, proposal.copy(), value, new, surrogate))
+        return new
+
+    monkeypatch.setattr(orchestrator, "blend", blending)
+    monkeypatch.setattr(orchestrator, "metropolis_step", recording)
+    return decisions
 
 
 def small_config(**kw):
@@ -297,112 +339,82 @@ class TestSurrogatePath:
         sigma = np.sqrt(total * 0.25)
         assert abs(used - 0.5 * total) < 4 * sigma
 
-    @staticmethod
-    def surrogate_decisions(monkeypatch):
-        """Per replica, in stepping order: (proposal bytes, accepted) of
-        each surrogate-path decision, for every run after the call."""
-        decisions = {}
-        original = orchestrator.metropolis_step
-
-        def recording(state, proposal, log_q, tgt, rng, **kw):
-            new = original(state, proposal, log_q, tgt, rng, **kw)
-            rows = decisions.setdefault(rng, [])
-            if kw.get("estimate_truth") is not None:
-                rows.append((proposal.tobytes(),
-                             new.accepted_count > state.accepted_count))
-            return new
-
-        monkeypatch.setattr(orchestrator, "metropolis_step", recording)
-        return decisions
-
     def test_truth_tracking_controls_rmse(self, monkeypatch):
-        decisions = self.surrogate_decisions(monkeypatch)
-        chain, report = run_target(self.surrogate_cfg(), quad_target(), DIM)
-        kept = [np.array([accepted for _, accepted in rows], dtype=bool)
-                for rows in decisions.values()]
-        cfg_on = self.surrogate_cfg(track_surrogate_truth=True)
-        chain_on, report_on = run_target(cfg_on, quad_target(), DIM)
-        for trace, trace_on, kept_here in zip(chain.traces, chain_on.traces,
-                                              kept):
-            # untracked: a true value exactly where the chain kept the
-            # estimate, the one tracking measures there; tracked: everywhere
+        """A true value is measured exactly where the chain kept a
+        surrogate-path proposal, and the RMSE covers those values."""
+        decisions = record_decisions(monkeypatch)
+        target = quad_target()
+        chain, report = run_target(self.surrogate_cfg(), target, DIM)
+        kept = []
+        for trace, rows in zip(chain.traces, decisions.values()):
+            rows = [d for d in rows if d.surrogate]
+            kept_here = np.array([d.accepted for d in rows], dtype=bool)
+            npt.assert_array_equal(trace.surrogate_estimates,
+                                   [d.log_lik for d in rows])
             npt.assert_array_equal(np.isfinite(trace.surrogate_truths),
                                    kept_here)
-            npt.assert_array_equal(trace.surrogate_truths[kept_here],
-                                   trace_on.surrogate_truths[kept_here])
-            assert np.all(np.isfinite(trace_on.surrogate_truths))
+            npt.assert_array_equal(
+                trace.surrogate_truths[kept_here],
+                [target.log_likelihood(d.proposal) for d in rows
+                 if d.accepted])
+            kept.append(kept_here)
         kept = np.concatenate(kept)
-        assert 0 < kept.sum() < kept.size
-        truths = np.concatenate([t.surrogate_truths for t in chain_on.traces])
+        assert 0 < kept.sum() < kept.size == report.surrogate_evals
+        truths = np.concatenate([t.surrogate_truths for t in chain.traces])
         estimates = np.concatenate([t.surrogate_estimates
                                     for t in chain.traces])
-        # each RMSE covers the true values its run measured, and says how
+        # the RMSE covers the true values the run measured, and says how
         # many those were
         assert report.truths_measured == kept.sum()
         assert report.prediction_rmse == surrogate_rmse(truths[kept],
                                                         estimates[kept])
-        assert report_on.truths_measured == report_on.surrogate_evals
-        assert report_on.prediction_rmse == surrogate_rmse(truths, estimates)
-        for rep in (report, report_on):
-            assert (f"surrogate_truths_measured {rep.truths_measured}"
-                    in rep.to_text().splitlines())
-        # diagnostic evaluations stay outside the replacement accounting
-        # and never touch the sampling streams
-        assert report.true_evals == report_on.true_evals
-        assert report.surrogate_evals == report_on.surrogate_evals
-        npt.assert_array_equal(chain.traces[0].samples,
-                               chain_on.traces[0].samples)
+        assert (f"surrogate_truths_measured {report.truths_measured}"
+                in report.to_text().splitlines())
 
     def test_rescore_keeps_chains_independent_of_tracking(self, monkeypatch):
-        decisions = self.surrogate_decisions(monkeypatch)
-        runs = {}
-        for track in (True, False):
-            target = CountingTarget(CENTER)
-            chain, report = run_target(
-                self.surrogate_cfg(track_surrogate_truth=track), target, DIM)
-            runs[track] = chain, target.thetas
-            # every call is a start value, a true-path step or a stored
-            # true value; re-scoring a held estimate makes none
-            measured = sum(int(np.isfinite(t.surrogate_truths).sum())
-                           for t in chain.traces)
-            assert report.truths_measured == measured > 0
-            assert len(target.thetas) == report.true_evals + measured + 3
-            assert report.true_evals + report.surrogate_evals == 1800
-            # a surrogate-path proposal is measured once when tracked or
-            # kept; a rejected untracked one makes no call
-            called = Counter(target.thetas)
-            for rows in list(decisions.values())[-3:]:
-                for proposal, accepted in rows:
-                    assert called[proposal] == int(track or accepted)
-        (chain_on, calls_on), (chain_off, calls_off) = runs[True], runs[False]
-        for t_on, t_off in zip(chain_on.traces, chain_off.traces):
-            npt.assert_array_equal(t_on.samples, t_off.samples)
-            npt.assert_array_equal(t_on.log_liks, t_off.log_liks)
-        assert len(calls_off) < len(calls_on)
+        """Measuring and re-scoring cost no extra likelihood call: a kept
+        surrogate-path proposal is measured once, a rejected one never,
+        and a held estimate is re-scored to the stored value."""
+        decisions = record_decisions(monkeypatch)
+        target = CountingTarget(CENTER)
+        chain, report = run_target(self.surrogate_cfg(), target, DIM)
+        # every call is a start value, a true-path step or a stored true
+        # value; re-scoring a held estimate makes none
+        measured = sum(int(np.isfinite(t.surrogate_truths).sum())
+                       for t in chain.traces)
+        assert report.truths_measured == measured > 0
+        assert len(target.thetas) == report.true_evals + measured + 3
+        assert report.true_evals + report.surrogate_evals == 1800
+        called = Counter(target.thetas)
+        rows = [d for rows in decisions.values() for d in rows
+                if d.surrogate]
+        assert len(rows) == report.surrogate_evals
+        for d in rows:
+            assert called[d.proposal.tobytes()] == int(d.accepted)
+        assert any(d.accepted for d in rows) \
+            and not all(d.accepted for d in rows)
 
-    @pytest.mark.parametrize("track", [True, False])
-    def test_true_path_never_compares_against_estimate(self, monkeypatch,
-                                                       track):
+    def test_true_path_never_compares_against_estimate(self, monkeypatch):
+        decisions = record_decisions(monkeypatch)
         target = quad_target()
-        seen = {"true": 0, "estimate_held": 0}
-        original = orchestrator.metropolis_step
-
-        def checked(state, proposal, log_q, tgt, rng, **kw):
-            if kw.get("estimate_truth") is None:
-                # true path: the current value must be the true one
-                assert state.log_lik_truth is None
-                assert state.log_lik == target.log_likelihood(state.theta)
-                seen["true"] += 1
-            elif state.log_lik_truth is not None:
-                seen["estimate_held"] += 1
-            return original(state, proposal, log_q, tgt, rng, **kw)
-
-        monkeypatch.setattr(orchestrator, "metropolis_step", checked)
-        run_target(self.surrogate_cfg(track_surrogate_truth=track), target,
-                   DIM)
-        assert seen["true"] > 0
+        run_target(self.surrogate_cfg(), target, DIM)
+        rows = [d for rows in decisions.values() for d in rows]
+        true_path = [d for d in rows if not d.surrogate]
+        assert true_path
+        for d in true_path:
+            # the current value must be the true one
+            assert d.before.log_lik_truth is None
+            assert d.before.log_lik == target.log_likelihood(d.before.theta)
         # surrogate-path decisions still see held estimates
-        assert seen["estimate_held"] > 0
+        assert any(d.before.log_lik_truth is not None
+                   for d in rows if d.surrogate)
+        for d in rows:
+            # an accepted step holds no true value until the engine
+            # measures one; a held one is never nan
+            if d.accepted:
+                assert d.after.log_lik_truth is None
+            held = d.before.log_lik_truth
+            assert held is None or math.isfinite(held)
 
     def test_train_rmse_schedule(self):
         # 600 steps per replica, interval 50: training at every boundary
@@ -415,36 +427,30 @@ class TestSurrogatePath:
     def test_training_rows_in_runner_then_step_order(self, monkeypatch):
         """Each refit gets every runner's true-path rows since the last
         one: runner 0's first, each runner's in step order."""
-        staged = {}     # a runner's rng -> its (proposal, log_lik) rows
-        original_step = orchestrator.metropolis_step
-
-        def recording(state, proposal, log_q, tgt, rng, **kw):
-            rows = staged.setdefault(rng, [])
-            if kw.get("estimate_truth") is None:
-                rows.append((proposal.copy(), kw["proposal_log_lik"]))
-            return original_step(state, proposal, log_q, tgt, rng, **kw)
-
+        decisions = record_decisions(monkeypatch)
+        used = Counter()    # a runner's rng -> its decisions already trained
         batch_rows = []
         original_train = orchestrator.SurrogateModel.train
 
         def capturing(model, batch, *args, **kwargs):
             batch_rows.append(batch.rows)
-            expected = [row for rows in staged.values() for row in rows]
-            for rows in staged.values():
-                rows.clear()
+            expected = []
+            for rng, rows in decisions.items():
+                expected += [(d.proposal, d.log_lik)
+                             for d in rows[used[rng]:] if not d.surrogate]
+                used[rng] = len(rows)
             npt.assert_array_equal(batch.inputs,
                                    np.array([x for x, _ in expected]))
             npt.assert_array_equal(batch.targets,
                                    np.array([y for _, y in expected]))
             return original_train(model, batch, *args, **kwargs)
 
-        monkeypatch.setattr(orchestrator, "metropolis_step", recording)
         monkeypatch.setattr(orchestrator.SurrogateModel, "train", capturing)
         cfg = small_config(total_samples=1800, swap_interval=10,
                            surrogate_interval=30, surrogate_prob=0.5)
         _, report = run_target(cfg, quad_target(), DIM)
-        # runner 0 steps first, so staged holds the runners in order
-        assert len(staged) == 3
+        # runner 0 steps first, so decisions holds the runners in order
+        assert len(decisions) == 3
         assert len(batch_rows) == len(report.train_rmse) == 600 // 30
         assert batch_rows[0] == 3 * 30
         assert report.surrogate_evals > 0
@@ -469,18 +475,15 @@ class TestFailurePaths:
         assert "partial true" in report.to_text()
         assert chain.traces == []
 
-    @pytest.mark.parametrize("track", [True, False])
-    def test_partial_report_keeps_every_counter(self, monkeypatch, track):
+    def test_partial_report_keeps_every_counter(self, monkeypatch):
         # the run fails at its 501st likelihood call. A refit runs after
         # its interval's calls, so the failing run refits wherever the
         # same run on a target that never fails has made at most 500 calls
-        # by then: 3 + 150 * k before refit k with tracking on, where
-        # every step makes one. Without it a rejected surrogate-path step
-        # makes none, but this target accepts most of them: 446 calls
-        # before refit 3 and 596 before refit 4, so 3 refits either way
+        # by then. A rejected surrogate-path step makes no call, but this
+        # target accepts most of them: 446 calls before refit 3 and 596
+        # before refit 4, so 3 refits
         cfg = small_config(total_samples=1800, swap_interval=25,
-                           surrogate_interval=50, surrogate_prob=0.5,
-                           track_surrogate_truth=track)
+                           surrogate_interval=50, surrogate_prob=0.5)
         counting = CountingTarget(CENTER)
         calls_at_refit = []
         original = orchestrator.SurrogateModel.train
@@ -492,10 +495,7 @@ class TestFailurePaths:
         monkeypatch.setattr(orchestrator.SurrogateModel, "train", counted)
         run_target(cfg, counting, DIM)
         refits = sum(calls <= 500 for calls in calls_at_refit)
-        if track:
-            assert calls_at_refit == [3 + 150 * k for k in range(1, 13)]
-        else:
-            assert calls_at_refit[2:4] == [446, 596]
+        assert calls_at_refit[2:4] == [446, 596]
         assert refits == 3
 
         target = FailingTarget(center=CENTER, fail_after=500)
@@ -505,14 +505,11 @@ class TestFailurePaths:
         assert len(report.train_rmse) == refits
         assert chain.traces == []
         # every successful likelihood call is a start value, a true-path
-        # step or a measured true value, tracked or kept
+        # step or the measured true value of a kept estimate
         assert report.true_evals > 0 and report.truths_measured > 0
         assert report.true_evals + report.truths_measured \
             + cfg.replica_count == 500
-        if track:
-            assert report.truths_measured == report.surrogate_evals
-        else:
-            assert report.truths_measured < report.surrogate_evals
+        assert report.truths_measured < report.surrogate_evals
         assert len(report.replica_acceptance) == cfg.replica_count
         text = report.to_text().splitlines()
         for key in ("true_evals", "surrogate_evals", "swap_attempts",

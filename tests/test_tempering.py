@@ -226,30 +226,24 @@ class TestMetropolisStep:
         assert new.log_lik == state.log_lik + 5.0
 
     def test_estimate_flag_set_and_cleared(self):
+        # a state holding an estimate (log_lik) and its true value
         target = QuadraticTarget(center=[0.0])
-        state = make_state([0.0], 1.0, target)
-        held = metropolis_step(state, np.array([0.1]), 0.0, target,
-                               np.random.default_rng(23),
-                               proposal_log_lik=state.log_lik + 5.0,
-                               estimate_truth=-0.25)
-        assert held.log_lik_truth is not None
-        assert held.log_lik_truth == -0.25
-        cleared = metropolis_step(held, np.array([0.0]), 0.0, target,
-                                  np.random.default_rng(23),
-                                  proposal_log_lik=held.log_lik + 1.0)
-        assert cleared.accepted_count == 2
-        assert cleared.log_lik_truth is None
-
-    def test_unmeasured_estimate_held_as_nan(self):
-        target = QuadraticTarget(center=[0.0])
-        state = make_state([0.0], 1.0, target)
-        held = metropolis_step(state, np.array([0.1]), 0.0, target,
-                               np.random.default_rng(23),
-                               proposal_log_lik=state.log_lik + 5.0,
-                               estimate_truth=math.nan)
-        assert held.accepted_count == 1
-        assert held.log_lik_truth is not None
-        assert math.isnan(held.log_lik_truth)
+        held = replace(make_state([0.1], 1.0, target), log_lik=-0.1,
+                       log_lik_truth=-0.25)
+        # a rejection keeps both
+        rejected = metropolis_step(held, np.array([1e4]), 0.0, target,
+                                   np.random.default_rng(23),
+                                   proposal_log_lik=held.log_lik - 1e6)
+        assert rejected.accepted_count == 0
+        assert rejected.log_lik_truth == -0.25
+        # an accept clears the held truth, whether it compared an estimate
+        # (the engine sets the new truth once measured) or a true value
+        for proposal_log_lik in (held.log_lik + 5.0, None):
+            cleared = metropolis_step(held, np.array([0.0]), 0.0, target,
+                                      np.random.default_rng(23),
+                                      proposal_log_lik=proposal_log_lik)
+            assert cleared.accepted_count == 1
+            assert cleared.log_lik_truth is None
 
     def test_nan_exponent_rejects_and_warns(self, caplog):
         class NanTarget(QuadraticTarget):
