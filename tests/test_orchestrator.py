@@ -394,10 +394,14 @@ class TestSurrogatePath:
         assert any(d.accepted for d in rows) \
             and not all(d.accepted for d in rows)
 
-    def test_true_path_never_compares_against_estimate(self, monkeypatch):
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_true_path_never_compares_against_estimate(self, monkeypatch,
+                                                       sequential):
+        # sequential_mode is ignored, so the rule holds under either value
         decisions = record_decisions(monkeypatch)
         target = quad_target()
-        run_target(self.surrogate_cfg(), target, DIM)
+        run_target(self.surrogate_cfg(sequential_mode=sequential), target,
+                   DIM)
         rows = [d for rows in decisions.values() for d in rows]
         true_path = [d for d in rows if not d.surrogate]
         assert true_path
@@ -475,15 +479,19 @@ class TestFailurePaths:
         assert "partial true" in report.to_text()
         assert chain.traces == []
 
-    def test_partial_report_keeps_every_counter(self, monkeypatch):
+    @pytest.mark.parametrize("sequential", [True, False])
+    def test_partial_report_keeps_every_counter(self, monkeypatch,
+                                                sequential):
         # the run fails at its 501st likelihood call. A refit runs after
         # its interval's calls, so the failing run refits wherever the
         # same run on a target that never fails has made at most 500 calls
         # by then. A rejected surrogate-path step makes no call, but this
         # target accepts most of them: 446 calls before refit 3 and 596
-        # before refit 4, so 3 refits
+        # before refit 4, so 3 refits. sequential_mode is ignored, so the
+        # counts are the same under either value
         cfg = small_config(total_samples=1800, swap_interval=25,
-                           surrogate_interval=50, surrogate_prob=0.5)
+                           surrogate_interval=50, surrogate_prob=0.5,
+                           sequential_mode=sequential)
         counting = CountingTarget(CENTER)
         calls_at_refit = []
         original = orchestrator.SurrogateModel.train
