@@ -4,7 +4,10 @@
 The bundled datasets (iris, cancer) ship with the package; this script
 fetches the rest from the UCI archive into ./datasets (or the directory
 named by SAPT_DATA_DIR), converting each to the label-last numeric CSV
-schema the loader expects.
+schema the loader expects. Each dataset's attribute and class counts
+and its file name come from the package registry (registry.cfg); the
+converted table is checked against them and written with
+sapt.data.save_csv. The script imports sapt, so it needs numpy.
 
 Checksums are trust-on-first-use: the first successful download records
 its SHA-256 in <data dir>/checksums.txt and later runs verify against
@@ -24,6 +27,11 @@ import os
 import sys
 import urllib.request
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sapt.data import make_dataset, registry_entry, save_csv  # noqa: E402
+from sapt.exceptions import ContractError, DataFormatError  # noqa: E402
 
 UCI = "https://archive.ics.uci.edu/ml/machine-learning-databases"
 
@@ -49,9 +57,7 @@ def fetch(url: str) -> bytes:
 def convert_ionosphere(raw: list) -> list:
     """34 numeric attributes, label g/b -> 1/0."""
     rows = []
-    for line_no, row in enumerate(raw, start=1):
-        if len(row) != 35:
-            raise SystemExit(f"ionosphere line {line_no}: {len(row)} columns")
+    for row in raw:
         label = {"b": 0, "g": 1}[row[-1].strip()]
         rows.append([float(x) for x in row[:-1]] + [label])
     return rows
@@ -102,17 +108,15 @@ def parse_csv(blob: bytes, delimiter: str = ",") -> list:
     return [row for row in reader if row and any(c.strip() for c in row)]
 
 
-# name -> (urls, delimiter, converter, expected (attributes, classes))
+# registry name -> (urls, delimiter, converter)
 SOURCES = {
     "ionosphere": ([f"{UCI}/ionosphere/ionosphere.data"], ",",
-                   convert_ionosphere, (34, 2)),
+                   convert_ionosphere),
     "pendigit": ([f"{UCI}/pendigits/pendigits.tra",
-                  f"{UCI}/pendigits/pendigits.tes"], ",",
-                 convert_pendigit, (16, 10)),
+                  f"{UCI}/pendigits/pendigits.tes"], ",", convert_pendigit),
     "chess": ([f"{UCI}/chess/king-rook-vs-king/krkopt.data"], ",",
-              convert_chess, (6, 18)),
-    "bank": ([f"{UCI}/00222/bank-additional.zip"], ";",
-             convert_bank, (20, 2)),
+              convert_chess),
+    "bank": ([f"{UCI}/00222/bank-additional.zip"], ";", convert_bank),
 }
 
 
@@ -154,26 +158,28 @@ def fetch_bank_zip(url: str) -> bytes:
 
 
 def build(name: str, out_root: Path) -> None:
-    urls, delimiter, converter, (attributes, classes) = SOURCES[name]
+    urls, delimiter, converter = SOURCES[name]
+    entry = registry_entry(name)
     print(f"{name}:")
     raw = []
     for url in urls:
         blob = fetch_bank_zip(url) if url.endswith(".zip") else fetch(url)
         raw.extend(parse_csv(blob, delimiter))
+    width = entry.attribute_count + 1
+    for row_no, row in enumerate(raw, start=1):
+        if len(row) != width:
+            raise SystemExit(f"{name} row {row_no}: {len(row)} columns, "
+                             f"expected {width}")
     rows = converter(raw)
-    if any(len(row) != attributes + 1 for row in rows):
-        raise SystemExit(f"{name}: converted width != {attributes + 1}")
-    labels = {row[-1] for row in rows}
-    if not labels <= set(range(classes)):
-        raise SystemExit(f"{name}: labels {sorted(labels)} exceed "
-                         f"{classes} classes")
-    out = out_root / f"{name}.csv"
-    with open(out, "w") as fh:
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row[:-1]))
-            fh.write(f",{row[-1]}\n")
-    print(f"  wrote {out} ({len(rows)} rows)")
+    try:
+        dataset = make_dataset([row[:-1] for row in rows],
+                               [row[-1] for row in rows], entry.class_count,
+                               name=name)
+    except (DataFormatError, ContractError) as exc:
+        raise SystemExit(f"{name}: {exc}") from None
+    out = out_root / entry.data_file
+    save_csv(dataset, out)
+    print(f"  wrote {out} ({dataset.sample_count} rows)")
     check_recorded(out_root / "checksums.txt", name, sha256_of(out))
 
 

@@ -238,8 +238,14 @@ def _backprop(theta, dataset, topology, d_out_of):
 
 def log_likelihood_and_gradient(theta: np.ndarray, dataset,
                                 topology: NetworkTopology):
-    """(log_likelihood, log_likelihood_gradient) from one pass; the label
-    column of the normalized softmax has log_likelihood's picked bits."""
+    """(log_likelihood, its gradient in vector layout) from one pass.
+
+    The label column of the normalized softmax has log_likelihood's
+    picked bits. The gradient is the softmax cross-entropy one,
+    d(log pi_label)/df_j = z_j - pi_j per sample; the PROB_FLOOR clamp
+    is ignored, so it is the gradient of the unclamped log-likelihood.
+    This is the gradient the Langevin drift proposal climbs.
+    """
     picked = None
 
     def d_out_of(probs):
@@ -249,17 +255,6 @@ def log_likelihood_and_gradient(theta: np.ndarray, dataset,
     grad = _backprop(theta, dataset, topology, d_out_of)
     np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
     return float(np.sum(picked)), grad
-
-
-def log_likelihood_gradient(theta: np.ndarray, dataset,
-                            topology: NetworkTopology) -> np.ndarray:
-    """Gradient of log_likelihood in vector layout (softmax cross-entropy).
-
-    d(log pi_label)/df_j = z_j - pi_j per sample. The PROB_FLOOR clamp
-    is ignored: the gradient is that of the unclamped log-likelihood.
-    This is the gradient the Langevin drift proposal climbs.
-    """
-    return log_likelihood_and_gradient(theta, dataset, topology)[1]
 
 
 def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.ndarray:

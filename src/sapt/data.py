@@ -130,8 +130,10 @@ def load_csv(path, feature_count: int | None = None,
         raise DataFormatError(f"{path}: expected {feature_count + 1} "
                               f"columns, got {table.shape[1]}")
     features, labels = table[:, :-1], table[:, -1]
-    if not np.all(np.isfinite(features)):
-        raise DataFormatError(f"{path}: non-finite feature value")
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        line = _file_line(raw, finite.argmin())
+        raise DataFormatError(f"{path}: line {line}: non-finite feature value")
     limit = labels.size if class_count is None else class_count
     bad = np.flatnonzero(~((labels >= 0) & (labels < limit)
                            & (labels == np.floor(labels))))

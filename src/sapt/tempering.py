@@ -28,8 +28,6 @@ PHASE_EXPLOIT = "exploit"
 @dataclass(frozen=True)
 class TemperatureLadder:
     temps: np.ndarray
-    max_temp: float
-    replica_count: int
 
 
 def build_ladder(replica_count: int, max_temp: float) -> TemperatureLadder:
@@ -46,8 +44,7 @@ def build_ladder(replica_count: int, max_temp: float) -> TemperatureLadder:
     temps = float(max_temp) ** exponents
     temps[0] = 1.0
     temps[-1] = float(max_temp)
-    return TemperatureLadder(temps=temps, max_temp=float(max_temp),
-                             replica_count=replica_count)
+    return TemperatureLadder(temps=temps)
 
 
 @dataclass(frozen=True)

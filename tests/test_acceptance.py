@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 
-import sapt
 from sapt.bnn import class_probabilities, softmax, sse_gradient
 from sapt.data import load_registered
 from sapt.diagnostics import posterior_accuracy

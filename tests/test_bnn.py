@@ -12,7 +12,6 @@ from sapt.bnn import (
     forward_batch,
     log_likelihood,
     log_likelihood_and_gradient,
-    log_likelihood_gradient,
     log_prior,
     log_prior_gradient,
     pack,
@@ -217,8 +216,8 @@ class TestLogDensityGradients:
                 down[i] -= 1e-5
                 want[i] = (log_likelihood(up, ds, topo)
                            - log_likelihood(down, ds, topo)) / 2e-5
-            npt.assert_allclose(log_likelihood_gradient(theta, ds, topo),
-                                want, rtol=1e-5, atol=1e-8)
+            grad = log_likelihood_and_gradient(theta, ds, topo)[1]
+            npt.assert_allclose(grad, want, rtol=1e-5, atol=1e-8)
 
     def test_log_prior_gradient(self):
         theta = np.array([1.0, -2.0, 0.5])
@@ -290,8 +289,8 @@ class TestBnnPosterior:
                                sse_gradient(theta, tiny_dataset,
                                             tiny_topology))
         npt.assert_array_equal(post.log_likelihood_gradient(theta),
-                               log_likelihood_gradient(theta, tiny_dataset,
-                                                       tiny_topology))
+                               log_likelihood_and_gradient(
+                                   theta, tiny_dataset, tiny_topology)[1])
         npt.assert_array_equal(post.log_prior_gradient(theta),
                                log_prior_gradient(theta, prior))
 
@@ -334,8 +333,8 @@ class TestPosteriorMemo:
         assert len(passes) == 1
         assert again is first
         assert value == log_likelihood(a, tiny_dataset, tiny_topology)
-        assert np.array_equal(
-            again, log_likelihood_gradient(a, tiny_dataset, tiny_topology))
+        assert np.array_equal(again, log_likelihood_and_gradient(
+            a, tiny_dataset, tiny_topology)[1])
 
     def test_least_recently_used_is_evicted(self, post, passes,
                                             tiny_topology):
@@ -359,8 +358,8 @@ class TestPosteriorMemo:
         a[0] += 0.5
         grad = post.log_likelihood_gradient(a)
         assert len(passes) == 2
-        assert np.array_equal(
-            grad, log_likelihood_gradient(a, tiny_dataset, tiny_topology))
+        assert np.array_equal(grad, log_likelihood_and_gradient(
+            a, tiny_dataset, tiny_topology)[1])
         assert post.log_likelihood(a) == log_likelihood(a, tiny_dataset,
                                                         tiny_topology)
 
@@ -436,7 +435,8 @@ class TestLeanKernelBitIdentity:
     def test_gradients(self, classes, rows):
         for sd in LEAN_SDS:
             theta, ds, topo = lean_case(classes, rows, sd)
-            assert np.array_equal(log_likelihood_gradient(theta, ds, topo),
+            post = BnnPosterior(topo, ds, PriorConfig())
+            assert np.array_equal(post.log_likelihood_gradient(theta),
                                   ref.log_likelihood_gradient(theta, ds, topo))
             assert np.array_equal(sse_gradient(theta, ds, topo),
                                   ref.sse_gradient(theta, ds, topo))
@@ -456,7 +456,6 @@ class TestLeanKernelBitIdentity:
         log_likelihood_and_gradient(theta, ds, topo)
         forward_batch(theta, ds.features, topo)
         class_probabilities(theta, ds.features, topo)
-        log_likelihood_gradient(theta, ds, topo)
         sse_gradient(theta, ds, topo)
         predict_accuracy(theta, ds, topo)
         for before, after in zip(kept, (theta, ds.features, ds.labels,

@@ -104,7 +104,9 @@ class TestCsvRoundTrip:
                              r"string 'x' to float64$"),
         ("1,2,0\n\n \n3,4,5,1\n", r"rows\.csv: line 4: the number of "
                                 r"columns changed from 3 to 4$"),
-    ], ids=["bad-field", "ragged-row"])
+        ("1,2,0\n\n3,nan,1\n", r"rows\.csv: line 3: non-finite feature "
+                              r"value$"),
+    ], ids=["bad-field", "ragged-row", "nan-feature"])
     def test_parse_error_names_file_line(self, tmp_path, text, match):
         path = tmp_path / "rows.csv"
         path.write_text(text)

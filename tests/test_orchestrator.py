@@ -6,7 +6,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import sapt
 import sapt.orchestrator as orchestrator
 from sapt import bnn
 from sapt.bnn import BnnPosterior, NetworkTopology, PriorConfig
@@ -557,8 +556,8 @@ class PlainPosterior(BnnPosterior):
         return bnn.log_likelihood(theta, self.dataset, self.topology)
 
     def log_likelihood_gradient(self, theta):
-        return bnn.log_likelihood_gradient(theta, self.dataset,
-                                           self.topology)
+        return bnn.log_likelihood_and_gradient(theta, self.dataset,
+                                               self.topology)[1]
 
 
 class TestPosteriorMemoRuns:

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -333,15 +332,19 @@ class TestSwap:
         assert new_a.log_lik_truth is not None and new_a.log_lik_truth == -7.5
         assert new_b.log_lik_truth is None
 
-    def test_apply_swap_moves_unmeasured_estimate(self):
+    def test_apply_swap_round_trip_carries_held_truth(self):
         target = QuadraticTarget(center=[0.0])
-        a = replace(make_state([1.0], 1.0, target), log_lik_truth=math.nan)
+        a = replace(make_state([1.0], 1.0, target), log_lik_truth=-3.25)
         b = make_state([2.0], 2.0, target)
         new_a, new_b = apply_swap(a, b)
         npt.assert_array_equal(new_b.theta, a.theta)
-        assert new_b.log_lik_truth is not None
-        assert math.isnan(new_b.log_lik_truth)
+        assert new_b.log_lik_truth == -3.25
         assert new_a.log_lik_truth is None
+        back_a, back_b = apply_swap(new_a, new_b)
+        npt.assert_array_equal(back_a.theta, a.theta)
+        assert back_a.log_lik_truth == -3.25
+        assert back_b.log_lik_truth is None
+        assert (back_a.temperature, back_b.temperature) == (1.0, 2.0)
 
     def test_apply_swap_involution(self):
         target = QuadraticTarget(center=[0.0, 0.0])
