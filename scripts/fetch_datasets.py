@@ -7,7 +7,9 @@ named by SAPT_DATA_DIR), converting each to the label-last numeric CSV
 schema the loader expects. Each dataset's attribute and class counts
 and its file name come from the package registry (registry.cfg); the
 converted table is checked against them and written with
-sapt.data.save_csv. The script imports sapt, so it needs numpy.
+sapt.data.save_csv to a temporary file, which replaces the data file
+only once its checksum passes. The script imports sapt, so it needs
+numpy.
 
 Checksums are trust-on-first-use: the first successful download records
 its SHA-256 in <data dir>/checksums.txt and later runs verify against
@@ -178,9 +180,15 @@ def build(name: str, out_root: Path) -> None:
     except (DataFormatError, ContractError) as exc:
         raise SystemExit(f"{name}: {exc}") from None
     out = out_root / entry.data_file
-    save_csv(dataset, out)
+    # the trusted file is replaced only once the new bytes pass the check
+    staged = out.with_name(out.name + ".part")
+    try:
+        save_csv(dataset, staged)
+        check_recorded(out_root / "checksums.txt", name, sha256_of(staged))
+        os.replace(staged, out)
+    finally:
+        staged.unlink(missing_ok=True)
     print(f"  wrote {out} ({dataset.sample_count} rows)")
-    check_recorded(out_root / "checksums.txt", name, sha256_of(out))
 
 
 def main(argv) -> int:

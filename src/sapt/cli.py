@@ -4,7 +4,8 @@
 
 runs the sampler on a registered dataset (or a label-last CSV path) and
 writes manifest.txt, report.txt, posterior/trace CSVs and, when the
-surrogate was active, surrogate_trace.csv into --out-dir.
+surrogate was active, surrogate_trace.csv into --out-dir, after removing
+the files of those names an earlier run left there.
 
 Exit codes: 0 success, 1 configuration or input error, 2 runtime
 failure (including a sampling failure, which leaves a partial
@@ -30,6 +31,8 @@ from .orchestrator import SamplerConfig, run
 from .tempering import KIND_LANGEVIN_MIX, KIND_RANDOM_WALK, ProposalConfig
 
 PROPOSAL_FLAGS = {"rw": KIND_RANDOM_WALK, "lg": KIND_LANGEVIN_MIX}
+RUN_OUTPUTS = ("manifest.txt", "report.txt", "histograms.csv",
+               "surrogate_trace.csv", "posterior_p*.csv", "trace_replica*.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,6 +181,9 @@ def _run_command(args) -> int:
         raise ConfigError("--thin must be >= 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for pattern in RUN_OUTPUTS:
+        for stale in out.glob(pattern):
+            stale.unlink()
     chain, report = run(config, train, topology)
     write_manifest(out / "manifest.txt",
                    _manifest_entries(args, dataset_id, topology, config))
@@ -199,8 +205,9 @@ def _run_command(args) -> int:
     print(f"test accuracy  [mean, std, best]: {summary.test_mean:.2f} "
           f"{summary.test_std:.2f} {summary.test_best:.2f}")
     print(f"true evals {report.true_evals}, surrogate evals "
-          f"{report.surrogate_evals}, elapsed {summary.elapsed_minutes:.2f} "
-          f"min")
+          f"{report.surrogate_evals}, likelihood calls "
+          f"{report.likelihood_calls}, elapsed "
+          f"{summary.elapsed_minutes:.2f} min")
     print(f"outputs in {out}")
     return 0
 

@@ -28,15 +28,17 @@ Determinism contract:
 The order in which replicas step within a block never touches these
 streams, so a run is reproduced bit for bit by its seed and settings.
 
-Surrogate estimates never outlive their purpose. An accepted
-surrogate-path step leaves its estimate as the state's log_lik, which
-later surrogate-path decisions and swaps compare against, and the true
-value at its theta, measured once on acceptance, as log_lik_truth.
-Before the next true-path decision the step engine re-scores log_lik to
-that stored value without a likelihood call. A rejected surrogate-path
-step makes no call. The measurement draws nothing, so every likelihood
-call is a start value, a true-path step or a finite entry of a trace's
-surrogate_truths.
+A surrogate-path step compares blend's pseudo-likelihood over the values
+the replica's last BLEND_WINDOW steps used (runner.recent). Estimates
+never outlive their purpose. An accepted surrogate-path step leaves its
+estimate as the state's log_lik, which later surrogate-path decisions
+and swaps compare against, and the true value at its theta, measured
+once on acceptance, as log_lik_truth. Before the next true-path decision
+the step engine re-scores log_lik to that stored value without a
+likelihood call. A rejected surrogate-path step makes no call. The
+measurement draws nothing, so every likelihood call is a start value, a
+true-path step or a finite entry of a trace's surrogate_truths; the
+report's likelihood_calls counts all three.
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bnn import BnnPosterior, NetworkTopology, PriorConfig
 from .exceptions import ConfigError, ContractError
-from .surrogate import (LikelihoodHistory, SurrogateBatch, SurrogateModel,
-                        blend, surrogate_rmse)
+from .surrogate import (BLEND_WINDOW, SurrogateBatch, SurrogateModel, blend,
+                        surrogate_rmse)
 from .tempering import (PHASE_EXPLOIT, PHASE_TEMPERED, ProposalConfig,
                         ReplicaState, apply_swap, build_ladder, make_proposal,
                         metropolis_step, swap_probability)
@@ -189,6 +192,7 @@ class RunReport:
     steps_per_replica: int
     true_evals: int = 0
     surrogate_evals: int = 0
+    likelihood_calls: int = 0   # start values, true-path steps, truths
     swap_attempts: int = 0
     swap_accepts: int = 0
     replica_acceptance: list = field(default_factory=list)
@@ -211,6 +215,7 @@ class RunReport:
             f"steps_per_replica {self.steps_per_replica}",
             f"true_evals {self.true_evals}",
             f"surrogate_evals {self.surrogate_evals}",
+            f"likelihood_calls {self.likelihood_calls}",
             f"swap_attempts {self.swap_attempts}",
             f"swap_accepts {self.swap_accepts}",
             f"swap_acceptance_rate {self.swap_acceptance_rate:.8g}",
@@ -270,7 +275,8 @@ class _ReplicaRunner:
             log_lik=target.log_likelihood(theta0),
             log_prior=target.log_prior(theta0),
         )
-        self.history = LikelihoodHistory()
+        report.likelihood_calls += 1
+        self.recent = deque(maxlen=BLEND_WINDOW)
         self.surrogate = surrogate
         self.step = 0
         self._staged: list = []    # (proposal, true log_lik) since last refit
@@ -296,7 +302,7 @@ class _ReplicaRunner:
         # it first trains after every replica's surrogate_interval steps
         surrogate_path = kappa < s_prob and self.surrogate.train_count > 0
         if surrogate_path:
-            evaluated = blend(self.surrogate.predict(proposal), self.history)
+            evaluated = blend(self.surrogate.predict(proposal), self.recent)
             self.report.surrogate_evals += 1
             trace.surrogate_steps.append(s)
             trace.surrogate_estimates.append(evaluated)
@@ -309,6 +315,7 @@ class _ReplicaRunner:
                                      log_lik_truth=None)
             evaluated = self.target.log_likelihood(proposal)
             self.report.true_evals += 1
+            self.report.likelihood_calls += 1
             if s_prob > 0:
                 self._staged.append((proposal, evaluated))
         accepted = self.state.accepted_count
@@ -317,9 +324,10 @@ class _ReplicaRunner:
         if surrogate_path and self.state.accepted_count > accepted:
             # the chain keeps the estimate: measure the truth it re-scores to
             truth = self.target.log_likelihood(proposal)
+            self.report.likelihood_calls += 1
             trace.surrogate_truths[-1] = truth
             self.state = replace(self.state, log_lik_truth=truth)
-        self.history.push(evaluated)
+        self.recent.append(evaluated)
         trace.samples[s] = self.state.theta
         trace.log_liks[s] = self.state.log_lik
         self.step += 1
@@ -382,8 +390,9 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
                 log.warning("surrogate interval yielded no true-likelihood "
                             "rows; training skipped")
     finally:
-        report.replica_acceptance = [runner.state.acceptance_rate
-                                     for runner in runners]
+        report.replica_acceptance = [
+            runner.state.accepted_count / runner.step if runner.step else 0.0
+            for runner in runners]
         truths = np.concatenate([r.trace.surrogate_truths for r in runners])
         estimates = np.concatenate([r.trace.surrogate_estimates
                                     for r in runners])

@@ -20,7 +20,6 @@ with step size ADAM_STEP_SIZE (1e-3), ADAM_BETA1 (0.9), ADAM_BETA2
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,31 +240,14 @@ class SurrogateModel:
         return float(np.sqrt(np.mean(residual ** 2)))
 
 
-class LikelihoodHistory:
-    """Last three per-step likelihood values of one replica.
-
-    Holds whatever the step actually used: true values on true-path
-    steps, blended pseudo-values on surrogate-path steps.
-    """
-
-    def __init__(self):
-        self._values = deque(maxlen=3)
-
-    def push(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
-            raise ContractError("history value must be finite")
-        self._values.append(value)
-
-    def mean(self) -> float:
-        if not self._values:
-            raise ContractError("likelihood history is empty")
-        return sum(self._values) / len(self._values)
+BLEND_WINDOW = 3
 
 
-def blend(l_surrogate: float, history: LikelihoodHistory) -> float:
-    """Equal-weight mix of the surrogate estimate and the recent mean."""
-    return 0.5 * float(l_surrogate) + 0.5 * history.mean()
+def blend(l_surrogate: float, recent) -> float:
+    """The paper's pseudo-likelihood: an equal-weight mix of the estimate
+    and the mean of recent, the values (true or blended) that the
+    replica's last BLEND_WINDOW steps used."""
+    return 0.5 * float(l_surrogate) + 0.5 * (sum(recent) / len(recent))
 
 
 def surrogate_rmse(true_values, estimates) -> float:

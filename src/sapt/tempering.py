@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class ReplicaState:
     surrogate-path step, log_lik is the estimate that decided it and
     log_lik_truth the finite true value at theta, which the step engine
     measures then and re-scores log_lik to before the next true-path
-    decision. Counters describe the slot, so swaps move theta and the
-    caches (log_lik_truth included) but not the counters.
+    decision. Swaps move theta and the caches (log_lik_truth included);
+    the slot keeps temperature, phase and accepted_count.
     """
 
     theta: np.ndarray
@@ -66,15 +66,8 @@ class ReplicaState:
     log_lik: float
     log_prior: float
     accepted_count: int = 0
-    proposed_count: int = 0
     phase: str = PHASE_TEMPERED
     log_lik_truth: float | None = None
-
-    @property
-    def acceptance_rate(self) -> float:
-        if self.proposed_count == 0:
-            return 0.0
-        return self.accepted_count / self.proposed_count
 
 
 @dataclass(frozen=True)
@@ -196,9 +189,9 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     Evaluates the target's likelihood at the proposal unless a
     precomputed value is passed in (the surrogate path hands over its
     blended estimate that way). On acceptance the returned state
-    carries the proposal, its cached values and log_lik_truth=None; on
-    rejection only proposed_count changes, so the caller's chain
-    records the previous sample again.
+    carries the proposal, its cached values, accepted_count + 1 and
+    log_lik_truth=None; a rejection returns state itself, so the
+    caller's chain records the previous sample again.
     A non-finite acceptance exponent rejects and logs a diagnostic.
     """
     prop_ll = float(proposal_log_lik) if proposal_log_lik is not None \
@@ -216,9 +209,8 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     if accept:
         return replace(state, theta=proposal, log_lik=prop_ll,
                        log_prior=prop_lp, log_lik_truth=None,
-                       accepted_count=state.accepted_count + 1,
-                       proposed_count=state.proposed_count + 1)
-    return replace(state, proposed_count=state.proposed_count + 1)
+                       accepted_count=state.accepted_count + 1)
+    return state
 
 
 def swap_probability(state_i: ReplicaState, state_j: ReplicaState) -> float:
@@ -246,6 +238,6 @@ def _cached_values(state: ReplicaState) -> dict:
 
 def apply_swap(state_i: ReplicaState, state_j: ReplicaState):
     """Exchange theta and cached values, log_lik_truth included; slots
-    keep temperature, phase and counters."""
+    keep temperature, phase and accepted_count."""
     return (replace(state_i, **_cached_values(state_j)),
             replace(state_j, **_cached_values(state_i)))

@@ -102,8 +102,10 @@ class TestRuns:
         assert run_cli(self.small_args(out)) == 0
         stdout = capsys.readouterr().out
         assert "test accuracy" in stdout
-        assert "true evals 400, surrogate evals 0" in stdout
+        assert "true evals 400, surrogate evals 0, likelihood calls 402" \
+            in stdout
         report = (out / "report.txt").read_text()
+        assert "likelihood_calls 402" in report.splitlines()
         assert "replica_count 2" in report
         assert "partial false" in report
         assert "surrogate_prediction_rmse n/a" in report.splitlines()
@@ -181,6 +183,29 @@ class TestRuns:
         assert changed_keys("manifest.txt") == {"dataset"}
         assert changed_keys("report.txt") <= {"elapsed_seconds",
                                               "elapsed_minutes"}
+
+    def test_reused_out_dir_holds_only_this_runs_files(self, capsys,
+                                                       tmp_path, monkeypatch):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        (reused / "notes.txt").write_text("kept\n")
+        assert run_cli(self.small_args(reused, [
+            "--surrogate-prob", "0.5", "--surrogate-interval", "20"])) == 0
+        assert (reused / "surrogate_trace.csv").exists()
+        second = ["--hidden", "3"]
+        assert run_cli(self.small_args(reused, second)) == 0
+        assert run_cli(self.small_args(fresh, second)) == 0
+        names = {f.name for f in reused.iterdir()}
+        assert names == {f.name for f in fresh.iterdir()} | {"notes.txt"}
+
+        def failing(self, theta):
+            raise RuntimeError("likelihood backend gave up")
+
+        monkeypatch.setattr(BnnPosterior, "log_likelihood", failing)
+        assert run_cli(self.small_args(reused)) == 2
+        capsys.readouterr()
+        assert {f.name for f in reused.iterdir()} == {
+            "manifest.txt", "report.txt", "notes.txt"}
 
     def test_langevin_flag(self, capsys, tmp_path):
         out = tmp_path / "lg"

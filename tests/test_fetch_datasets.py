@@ -105,9 +105,15 @@ def test_second_run_verifies_checksums(script, capsys):
     assert capsys.readouterr().out.count("checksum verified") == 2
 
 
-def test_changed_download_is_a_checksum_mismatch(script):
+def test_changed_download_is_a_checksum_mismatch(script, tmp_path):
     assert script.main(["ionosphere"]) == 0
     script.served[f"{UCI}/ionosphere/ionosphere.data"] = ionosphere(
         lambda r: "g").encode()
     with pytest.raises(SystemExit, match="ionosphere: checksum mismatch"):
         script.main(["ionosphere"])
+    # the trusted file stays, and nothing else is left behind
+    path = tmp_path / registry_entry("ionosphere").data_file
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        PINNED["ionosphere"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "checksums.txt", path.name]

@@ -248,6 +248,28 @@ class TestRunBasics:
         assert report.swap_attempts == calls["probability"] < 4 * 20
         assert report.swap_accepts == calls["swap"]
 
+    def test_minus_inf_likelihood_is_a_rejection(self):
+        """A target may return -inf outside its support: such a proposal
+        is rejected and the run goes on. Every start draw here lies
+        inside the box."""
+        class Boxed(QuadraticTarget):
+            outside = 0
+
+            def log_likelihood(self, theta):
+                if np.abs(theta).max() >= 2.0:
+                    self.outside += 1
+                    return -math.inf
+                return super().log_likelihood(theta)
+
+        target = Boxed(np.zeros(DIM))
+        cfg = small_config(proposal=ProposalConfig(rw_step_sd=1.0))
+        chain, report = run_target(cfg, target, DIM)
+        assert "partial false" in report.to_text().splitlines()
+        assert target.outside > 100
+        for trace in chain.traces:
+            assert np.abs(trace.samples).max() < 2.0
+            assert np.isfinite(trace.log_liks).all()
+
     def test_report_text_schema(self):
         cfg = small_config()
         _, report = run_target(cfg, quad_target(), DIM)
@@ -338,7 +360,7 @@ class TestSurrogatePath:
         sigma = np.sqrt(total * 0.25)
         assert abs(used - 0.5 * total) < 4 * sigma
 
-    def test_truth_tracking_controls_rmse(self, monkeypatch):
+    def test_truths_measured_where_estimates_kept(self, monkeypatch):
         """A true value is measured exactly where the chain kept a
         surrogate-path proposal, and the RMSE covers those values."""
         decisions = record_decisions(monkeypatch)
@@ -370,7 +392,7 @@ class TestSurrogatePath:
         assert (f"surrogate_truths_measured {report.truths_measured}"
                 in report.to_text().splitlines())
 
-    def test_rescore_keeps_chains_independent_of_tracking(self, monkeypatch):
+    def test_measuring_and_rescoring_make_no_extra_call(self, monkeypatch):
         """Measuring and re-scoring cost no extra likelihood call: a kept
         surrogate-path proposal is measured once, a rejected one never,
         and a held estimate is re-scored to the stored value."""
@@ -418,6 +440,58 @@ class TestSurrogatePath:
                 assert d.after.log_lik_truth is None
             held = d.before.log_lik_truth
             assert held is None or math.isfinite(held)
+
+    def test_blend_averages_the_last_three_used_values(self, monkeypatch):
+        """A surrogate-path step blends the values its replica's last
+        min(3, k) steps used, true or blended, in step order, where k is
+        the number of steps the replica has taken."""
+        used = {}          # a runner's rng -> (value, blended) per step
+        windows = []       # the window of the step being decided
+        lengths = Counter()
+        blended_in_window = 0
+        original_blend = orchestrator.blend
+        original_step = orchestrator.metropolis_step
+
+        def blending(estimate, recent):
+            windows.append(list(recent))
+            return original_blend(estimate, recent)
+
+        def recording(state, proposal, log_q, tgt, rng, **kw):
+            nonlocal blended_in_window
+            steps = used.setdefault(rng, [])
+            surrogate = bool(windows)
+            if surrogate:
+                last = steps[-3:]
+                assert windows.pop() == [value for value, _ in last]
+                lengths[len(last)] += 1
+                blended_in_window += any(b for _, b in last)
+            steps.append((kw["proposal_log_lik"], surrogate))
+            return original_step(state, proposal, log_q, tgt, rng, **kw)
+
+        monkeypatch.setattr(orchestrator, "blend", blending)
+        monkeypatch.setattr(orchestrator, "metropolis_step", recording)
+        # the first refit follows every replica's first step
+        cfg = small_config(swap_interval=1, surrogate_interval=1,
+                           surrogate_prob=0.5)
+        _, report = run_target(cfg, quad_target(), DIM)
+        assert sum(lengths.values()) == report.surrogate_evals
+        assert lengths[1] > 0 and lengths[2] > 0 and lengths[3] > 0
+        assert blended_in_window > 0
+
+    @pytest.mark.parametrize("surrogate_prob", [0.0, 0.5])
+    def test_likelihood_calls_count_every_call(self, surrogate_prob):
+        target = CountingTarget(CENTER)
+        cfg = small_config(total_samples=1800, swap_interval=25,
+                           surrogate_interval=50,
+                           surrogate_prob=surrogate_prob)
+        _, report = run_target(cfg, target, DIM)
+        assert report.likelihood_calls == len(target.thetas)
+        assert (f"likelihood_calls {report.likelihood_calls}"
+                in report.to_text().splitlines())
+        # a rejected surrogate-path step saves its call
+        saved = report.surrogate_evals - report.truths_measured
+        assert report.likelihood_calls == 1800 + cfg.replica_count - saved
+        assert saved > 0 or surrogate_prob == 0.0
 
     def test_train_rmse_schedule(self):
         # 600 steps per replica, interval 50: training at every boundary
@@ -469,7 +543,7 @@ class TestSurrogatePath:
 
 
 class TestFailurePaths:
-    def test_worker_exception_yields_partial_report(self):
+    def test_likelihood_exception_yields_partial_report(self):
         cfg = small_config()
         target = FailingTarget(center=CENTER, fail_after=50)
         chain, report = run_target(cfg, target, DIM)
@@ -515,12 +589,12 @@ class TestFailurePaths:
         # step or the measured true value of a kept estimate
         assert report.true_evals > 0 and report.truths_measured > 0
         assert report.true_evals + report.truths_measured \
-            + cfg.replica_count == 500
+            + cfg.replica_count == report.likelihood_calls == 500
         assert report.truths_measured < report.surrogate_evals
         assert len(report.replica_acceptance) == cfg.replica_count
         text = report.to_text().splitlines()
-        for key in ("true_evals", "surrogate_evals", "swap_attempts",
-                    "swap_accepts"):
+        for key in ("true_evals", "surrogate_evals", "likelihood_calls",
+                    "swap_attempts", "swap_accepts"):
             assert f"{key} {getattr(report, key)}" in text
         assert f"surrogate_truths_measured {report.truths_measured}" in text
         for i, rate in enumerate(report.replica_acceptance):

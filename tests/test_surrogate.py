@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,7 @@ import pytest
 import sapt.surrogate as surrogate
 from sapt.exceptions import ContractError
 from sapt.surrogate import (
-    LikelihoodHistory,
+    BLEND_WINDOW,
     SurrogateBatch,
     SurrogateModel,
     TargetScaler,
@@ -183,34 +185,21 @@ class TestFlatModelMatchesReference:
 
 class TestHistoryAndBlend:
     def test_ring_of_three(self):
-        h = LikelihoodHistory()
+        recent = deque(maxlen=BLEND_WINDOW)
         for v in [-1.0, -2.0, -3.0, -4.0]:
-            h.push(v)
-        npt.assert_allclose(h.mean(), -3.0, rtol=1e-15)
+            recent.append(v)
+        npt.assert_allclose(blend(-3.0, recent), -3.0, rtol=1e-15)
 
     def test_mean_during_warmup(self):
-        h = LikelihoodHistory()
-        h.push(-10.0)
-        assert h.mean() == -10.0
-
-    def test_errors(self):
-        h = LikelihoodHistory()
-        with pytest.raises(ContractError):
-            h.mean()
-        with pytest.raises(ContractError):
-            h.push(float("nan"))
+        recent = deque(maxlen=BLEND_WINDOW)
+        recent.append(-10.0)
+        assert blend(-10.0, recent) == -10.0
 
     def test_blend_known_value(self):
-        h = LikelihoodHistory()
-        for _ in range(3):
-            h.push(-12.0)
-        assert blend(-10.0, h) == -11.0
+        assert blend(-10.0, [-12.0, -12.0, -12.0]) == -11.0
 
     def test_blend_fixed_point(self):
-        h = LikelihoodHistory()
-        h.push(-7.5)
-        h.push(-7.5)
-        assert blend(-7.5, h) == -7.5
+        assert blend(-7.5, (-7.5, -7.5)) == -7.5
 
 
 class TestSurrogateRmse:

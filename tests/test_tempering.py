@@ -194,7 +194,6 @@ class TestMetropolisStep:
                               np.random.default_rng(17))
         npt.assert_array_equal(new.theta, proposal)
         assert new.accepted_count == 1
-        assert new.proposed_count == 1
         assert new.log_lik == target.log_likelihood(proposal)
 
     def test_hopeless_proposal_rejected(self):
@@ -204,7 +203,7 @@ class TestMetropolisStep:
                               np.random.default_rng(19))
         npt.assert_array_equal(new.theta, state.theta)
         assert new.accepted_count == 0
-        assert new.proposed_count == 1
+        assert new is state
         assert new.log_lik == state.log_lik
 
     def test_precomputed_log_lik_respected(self):
@@ -256,20 +255,8 @@ class TestMetropolisStep:
                                   NanTarget(center=[0.0]),
                                   np.random.default_rng(29))
         assert new.accepted_count == 0
-        assert new.proposed_count == 1
+        assert new is state
         assert any("non-finite" in r.message for r in caplog.records)
-
-    def test_acceptance_rate_property(self):
-        target = QuadraticTarget(center=[0.0])
-        state = make_state([0.0], 1.0, target)
-        assert state.acceptance_rate == 0.0
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            prop = propose_rw(state.theta, 0.5, rng)
-            state = metropolis_step(state, prop, 0.0, target, rng)
-        assert state.proposed_count == 40
-        assert 0.0 < state.acceptance_rate <= 1.0
-        assert state.acceptance_rate == state.accepted_count / 40
 
 
 class TestSwap:
@@ -311,8 +298,7 @@ class TestSwap:
 
     def test_apply_swap_moves_values_not_slots(self):
         target = QuadraticTarget(center=[0.0, 0.0])
-        a = make_state([1.0, 2.0], 1.0, target, accepted_count=5,
-                       proposed_count=9)
+        a = make_state([1.0, 2.0], 1.0, target, accepted_count=5)
         b = make_state([-3.0, 4.0], 2.5, target, phase=PHASE_TEMPERED)
         new_a, new_b = apply_swap(a, b)
         npt.assert_array_equal(new_a.theta, b.theta)
@@ -322,7 +308,6 @@ class TestSwap:
         assert new_a.temperature == 1.0
         assert new_b.temperature == 2.5
         assert new_a.accepted_count == 5
-        assert new_a.proposed_count == 9
 
     def test_apply_swap_moves_estimate_flag(self):
         target = QuadraticTarget(center=[0.0])
