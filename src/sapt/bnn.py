@@ -12,15 +12,26 @@ R^L. Layout, in order:
 The hidden layer applies a logistic sigmoid; the output layer is linear
 and class probabilities come from a softmax over the O outputs.
 
-The likelihood kernel works in place on its own temporaries and reduces
-the (N, O) output matrix one class column at a time: the row max with
-np.maximum and, for O < 8, the row sum with +=. numpy sums a last axis
-shorter than 8 elements in sequence, so the column adds give the bits of
-np.sum(axis=-1); from 8 elements on it sums pairwise, so the kernel
-keeps the axis sum there. Every function therefore returns the same bits
-as the plain formulas (kept in tests/_bnn_reference.py), and a seed gives
-the same chains whichever computed them. log_likelihood_and_gradient
-gives both from one pass; BnnPosterior remembers its last two results.
+The likelihood kernel works in place on its own temporaries. An
+elementwise pass applies one IEEE operation per element, so its order
+does not change a bit; the reductions and the two matrix products, whose
+bits depend on layout, keep the plain formulas' layout. From LONG_ROWS
+data rows on, the elementwise passes run along long contiguous rows:
+each bias add folds FOLD_ROWS rows into one wide row, and log_likelihood
+copies the (N, O) outputs to a contiguous class-major (O, N) array for
+the exp shift. Below LONG_ROWS, and in the softmax and gradient paths,
+the shift reads the class-major view out.T, as the copy and the tiled
+bias would cost more than they save there. The shift reduces one class
+row at a time: the max with np.maximum and, below PAIRWISE_SUM_CLASSES,
+the sum with +=. numpy sums a last axis shorter than 8 elements in
+sequence, so the row adds give the bits of np.sum(axis=-1); from 8
+elements on it sums pairwise, so the kernel keeps that axis sum over the
+(N, O) layout. The label probabilities are read with a flat index that
+the Dataset builds once for each layout. Every function therefore
+returns the same bits as the plain formulas (kept in
+tests/_bnn_reference.py), and a seed gives the same chains whichever
+computed them. log_likelihood_and_gradient gives both from one pass;
+BnnPosterior remembers its last two results.
 """
 
 from __future__ import annotations
@@ -108,59 +119,82 @@ def pack(w, del_h, v, del_o) -> np.ndarray:
 
 
 # From this many classes on, numpy's last-axis sum is pairwise rather
-# than sequential, and column adds would change the bits.
+# than sequential, and class row adds would change the bits.
 PAIRWISE_SUM_CLASSES = 8
 
+# From this many data rows on, the kernel's elementwise passes run along
+# long contiguous rows: at 90 rows the copy and the tiled bias cost more
+# than the short-row broadcasts they replace, at 12 000 rows much less.
+LONG_ROWS = 1024
+# Rows folded into one wide row for a bias add.
+FOLD_ROWS = 64
 
-def _exp_shifted_inplace(f: np.ndarray):
-    """Overwrite f with exp(f - row max); return f and its row sums.
 
-    Rows run along the last axis. The max is taken one class column at
-    a time, and so is the sum below PAIRWISE_SUM_CLASSES classes; both
-    give the bits of the last-axis np.max and np.sum.
+def _exp_shifted_inplace(e: np.ndarray):
+    """Overwrite the class-major (classes, rows) e with exp(e - column
+    max); return e and its column sums, one per data row.
+
+    The max is taken one class row at a time, and so is the sum below
+    PAIRWISE_SUM_CLASSES classes; both give the bits of the last-axis
+    np.max and np.sum over the (rows, classes) layout.
     """
-    classes = f.shape[-1]
-    row_max = f[..., 0].copy()
+    classes = e.shape[0]
+    row_max = e[0].copy()
     for j in range(1, classes):
-        np.maximum(row_max, f[..., j], out=row_max)
-    f -= row_max[..., None]
-    np.exp(f, out=f)
+        np.maximum(row_max, e[j], out=row_max)
+    e -= row_max
+    np.exp(e, out=e)
     if classes >= PAIRWISE_SUM_CLASSES:
-        return f, np.sum(f, axis=-1)
-    row_sum = f[..., 0].copy()
+        return e, np.sum(np.ascontiguousarray(e.T), axis=-1)
+    row_sum = e[0].copy()
     for j in range(1, classes):
-        row_sum += f[..., j]
-    return f, row_sum
+        row_sum += e[j]
+    return e, row_sum
 
 
 def _softmax_inplace(f: np.ndarray) -> np.ndarray:
-    e, row_sum = _exp_shifted_inplace(f)
-    e /= row_sum[..., None]
-    return e
+    """Softmax of each row of the 2-D f, overwriting f."""
+    e, row_sum = _exp_shifted_inplace(f.T)
+    e /= row_sum
+    return f
 
 
 def softmax(f: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, shifted by the row max for stability.
 
-    The row max is taken one class column at a time, and so is the row
-    sum below 8 classes; at 8 or more the sum runs along the axis, which
+    The row max is taken one class at a time, and so is the row sum
+    below 8 classes; at 8 or more the sum runs along the axis, which
     numpy then adds pairwise. Either way the result has the bits of
     exp(f - max) / sum(exp(f - max)) with numpy's last-axis max and sum,
     so chains stay bit-identical. f is not modified.
     """
-    return _softmax_inplace(np.array(f, dtype=np.float64))
+    p = np.array(f, dtype=np.float64)
+    _softmax_inplace(p.reshape(-1, p.shape[-1]))
+    return p
+
+
+def _add_bias(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m += b on every row of the C-contiguous m; from LONG_ROWS rows on,
+    FOLD_ROWS rows at a time as one wide row."""
+    rows, width = m.shape
+    if rows < LONG_ROWS:
+        m += b
+        return m
+    body = rows - rows % FOLD_ROWS
+    tiled = np.empty((FOLD_ROWS, width))
+    tiled[:] = b
+    wide = m[:body].reshape(-1, FOLD_ROWS * width)
+    wide += tiled.reshape(-1)
+    m[body:] += b
+    return m
 
 
 def _hidden(w, del_h, features):
-    pre = features @ w
-    pre += del_h
-    return _sigmoid_inplace(pre)
+    return _sigmoid_inplace(_add_bias(features @ w, del_h))
 
 
 def _outputs(hidden, v, del_o):
-    out = hidden @ v
-    out += del_o
-    return out
+    return _add_bias(hidden @ v, del_o)
 
 
 def forward_batch(theta: np.ndarray, features: np.ndarray,
@@ -190,10 +224,14 @@ def log_likelihood(theta: np.ndarray, dataset, topology: NetworkTopology) -> flo
     n = dataset.features.shape[0]
     if n < 1:
         raise ContractError("log_likelihood needs a nonempty dataset")
-    e, row_sum = _exp_shifted_inplace(
-        forward_batch(theta, dataset.features, topology))
-    # only the label column is normalized
-    picked = e[dataset.row_index, dataset.labels]
+    out = forward_batch(theta, dataset.features, topology)
+    # only the label entry of each row is normalized
+    if n < LONG_ROWS:
+        _, row_sum = _exp_shifted_inplace(out.T)
+        picked = out.ravel().take(dataset.label_index)
+    else:
+        e, row_sum = _exp_shifted_inplace(out.T.copy())
+        picked = e.ravel().take(dataset.class_label_index)
     picked /= row_sum
     np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
     return float(np.sum(picked))
@@ -250,7 +288,7 @@ def log_likelihood_and_gradient(theta: np.ndarray, dataset,
 
     def d_out_of(probs):
         nonlocal picked
-        picked = probs[dataset.row_index, dataset.labels]
+        picked = probs.ravel().take(dataset.label_index)
         return np.subtract(dataset.one_hot, probs, out=probs)
     grad = _backprop(theta, dataset, topology, d_out_of)
     np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)

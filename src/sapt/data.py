@@ -45,7 +45,11 @@ class Dataset:
             raise ContractError("features, labels and one-hot row counts differ")
         if self.labels.min() < 0 or self.labels.max() >= k:
             raise ContractError("labels outside 0..K-1")
-        object.__setattr__(self, "row_index", np.arange(n))  # built once
+        # flat positions of the labels in an (N, K) and a (K, N) array,
+        # built once for the likelihood kernel
+        rows = np.arange(n)
+        object.__setattr__(self, "label_index", rows * k + self.labels)
+        object.__setattr__(self, "class_label_index", self.labels * n + rows)
 
     @property
     def sample_count(self) -> int:

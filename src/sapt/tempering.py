@@ -170,13 +170,15 @@ def acceptance_probability(delta_log_lik: float, temperature: float,
                            delta_log_prior: float, log_q_ratio: float) -> float:
     """min(1, exp(delta_log_lik / T + delta_log_prior + log_q_ratio)).
 
-    Only the likelihood difference is tempered. Returns nan when the
-    exponent is not finite; callers treat that as a rejection.
+    Only the likelihood difference is tempered. A +inf exponent, such as
+    a proposal of positive density from a state of zero density, gives
+    1. A -inf or nan exponent gives nan, which callers treat as a
+    certain rejection.
     """
     if temperature <= 0:
         raise ContractError(f"temperature must be positive, got {temperature}")
     exponent = delta_log_lik / temperature + delta_log_prior + log_q_ratio
-    if not np.isfinite(exponent):
+    if math.isnan(exponent) or exponent == -math.inf:
         return float("nan")
     return float(np.exp(min(0.0, exponent)))
 
@@ -192,7 +194,9 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     carries the proposal, its cached values, accepted_count + 1 and
     log_lik_truth=None; a rejection returns state itself, so the
     caller's chain records the previous sample again.
-    A non-finite acceptance exponent rejects and logs a diagnostic.
+    A proposal of zero density (log value -inf) is an ordinary
+    rejection; a nan from the target or the proposal correction rejects
+    and logs a diagnostic.
     """
     prop_ll = float(proposal_log_lik) if proposal_log_lik is not None \
         else target.log_likelihood(proposal)
@@ -200,9 +204,11 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     prob = acceptance_probability(prop_ll - state.log_lik, state.temperature,
                                   prop_lp - state.log_prior, log_q_ratio)
     u = rng.uniform()
-    if np.isnan(prob):
-        log.warning("non-finite acceptance exponent at T=%g (log_lik*=%g); "
-                    "rejecting", state.temperature, prop_ll)
+    if math.isnan(prob):
+        if any(map(math.isnan, (prop_ll, prop_lp, log_q_ratio))):
+            log.warning("non-finite acceptance exponent at T=%g (log_lik*=%g, "
+                        "log_prior*=%g, log_q_ratio=%g); rejecting",
+                        state.temperature, prop_ll, prop_lp, log_q_ratio)
         accept = False
     else:
         accept = u <= prob

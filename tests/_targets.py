@@ -81,3 +81,18 @@ class FailingTarget(QuadraticTarget):
         if self.calls > self.fail_after:
             raise RuntimeError("likelihood backend gave up")
         return super().log_likelihood(theta)
+
+
+class TruncatedNormalTarget:
+    """1-D standard normal likelihood truncated to |theta| < bound: -inf
+    outside, under a flat prior."""
+
+    def __init__(self, bound):
+        self.bound = float(bound)
+
+    def log_likelihood(self, theta):
+        t = float(theta[0])
+        return -0.5 * t * t if abs(t) < self.bound else -np.inf
+
+    def log_prior(self, theta):
+        return 0.0

@@ -402,11 +402,14 @@ def lean_case(classes, rows, sd):
     return theta, make_dataset(features, labels, classes), topo
 
 
-@pytest.mark.parametrize("rows", [1, 5, 300])
+# 1025 and 1500 rows take the long-row path; neither is a multiple of
+# FOLD_ROWS, so the folded bias add leaves remainder rows.
+@pytest.mark.parametrize("rows", [1, 5, 300, 1025, 1500])
 @pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 10])
 class TestLeanKernelBitIdentity:
     """The kernel gives the reference formulas' bits and leaves its
-    inputs alone, on both sides of the 8-class reduction rule."""
+    inputs alone, on both sides of the 8-class reduction rule and of
+    LONG_ROWS."""
 
     def test_log_likelihood(self, classes, rows):
         for sd in LEAN_SDS:
@@ -422,6 +425,28 @@ class TestLeanKernelBitIdentity:
             assert np.array_equal(softmax(f), ref.softmax(f))
             assert np.array_equal(softmax(f[0]), ref.softmax(f[0]))
             assert np.array_equal(f, kept)
+
+    def test_exp_shift_in_both_layouts(self, classes, rows):
+        # a last-bit change in one row sum can vanish in the summed
+        # log-likelihood, so the shift is checked on its own, both on the
+        # class-major view and on the contiguous class-major copy
+        for sd in LEAN_SDS:
+            theta, ds, topo = lean_case(classes, rows, sd)
+            f = ref.forward_batch(theta, ds.features, topo)
+            e = np.exp(f - np.max(f, axis=-1, keepdims=True))
+            row_sum = np.sum(e, axis=-1)
+            for class_major in (f.copy().T, f.T.copy()):
+                got, got_sum = bnn._exp_shifted_inplace(class_major)
+                assert np.array_equal(got, e.T)
+                assert np.array_equal(got_sum, row_sum)
+
+    def test_softmax_three_dimensional(self, classes, rows):
+        theta, ds, topo = lean_case(classes, rows, 5.0)
+        f = ref.forward_batch(theta, ds.features, topo)
+        f3 = np.stack([f, -f, 2.0 * f], axis=1)
+        kept = f3.copy()
+        assert np.array_equal(softmax(f3), ref.softmax(f3))
+        assert np.array_equal(f3, kept)
 
     def test_forward_and_class_probabilities(self, classes, rows):
         for sd in LEAN_SDS:
@@ -470,3 +495,8 @@ def test_lean_cases_reach_the_floor():
         probs = ref.class_probabilities(theta, ds.features, topo)
         clamped += int(np.sum(probs[np.arange(300), ds.labels] < PROB_FLOOR))
     assert clamped > 0
+
+
+def test_lean_row_counts_straddle_the_long_path():
+    assert 300 < bnn.LONG_ROWS <= 1025
+    assert 1025 % bnn.FOLD_ROWS and 1500 % bnn.FOLD_ROWS

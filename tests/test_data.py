@@ -262,6 +262,17 @@ class TestSplit:
         npt.assert_allclose(test.features, (test_raw - lo) / span,
                             rtol=1e-14)
 
+    def test_label_indexes_pick_own_labels(self):
+        ds = self.build()
+        labels = np.random.default_rng(2).permutation(ds.labels)
+        for side in split(make_dataset(ds.features, labels, 3), seed=4):
+            # row t holds t + 1 in its label column and 0 elsewhere
+            ids = np.arange(1, side.sample_count + 1)
+            table = side.one_hot * ids[:, None]
+            npt.assert_array_equal(table.ravel().take(side.label_index), ids)
+            npt.assert_array_equal(
+                table.T.copy().ravel().take(side.class_label_index), ids)
+
     def test_bad_fraction(self):
         ds = self.build()
         with pytest.raises(ContractError):

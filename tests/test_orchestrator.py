@@ -33,7 +33,8 @@ from sapt.tempering import (
 
 import _bnn_reference
 import _surrogate_reference
-from _targets import CountingTarget, FailingTarget, QuadraticTarget
+from _targets import (CountingTarget, FailingTarget, QuadraticTarget,
+                      TruncatedNormalTarget)
 
 DIM = 3
 CENTER = [1.0, -2.0, 0.5]
@@ -266,6 +267,19 @@ class TestRunBasics:
         chain, report = run_target(cfg, target, DIM)
         assert "partial false" in report.to_text().splitlines()
         assert target.outside > 100
+        for trace in chain.traces:
+            assert np.abs(trace.samples).max() < 2.0
+            assert np.isfinite(trace.log_liks).all()
+
+    def test_chain_leaves_a_minus_inf_start(self, caplog):
+        """Seed 3 starts replica 0 at 2.04, outside the support: its first
+        finite proposal is a certain accept, and no -inf proposal logs."""
+        cfg = SamplerConfig(replica_count=2, total_samples=400, base_seed=3,
+                            proposal=ProposalConfig(rw_step_sd=1.0))
+        with caplog.at_level("WARNING"):
+            chain, report = run_target(cfg, TruncatedNormalTarget(2.0), 1)
+        assert not report.partial
+        assert not caplog.records
         for trace in chain.traces:
             assert np.abs(trace.samples).max() < 2.0
             assert np.isfinite(trace.log_liks).all()

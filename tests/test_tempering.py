@@ -23,7 +23,7 @@ from sapt.tempering import (
     swap_probability,
 )
 
-from _targets import QuadraticTarget
+from _targets import QuadraticTarget, TruncatedNormalTarget
 
 
 def make_state(theta, temperature, target, **kw):
@@ -81,7 +81,9 @@ class TestAcceptanceProbability:
 
     def test_non_finite_exponent_is_nan(self):
         assert np.isnan(acceptance_probability(float("nan"), 1.0, 0.0, 0.0))
-        assert np.isnan(acceptance_probability(float("inf"), 1.0, 0.0, 0.0))
+        assert np.isnan(acceptance_probability(-float("inf"), 1.0, 0.0, 0.0))
+        # leaving a zero-density state is certain
+        assert acceptance_probability(float("inf"), 1.0, 0.0, 0.0) == 1.0
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(ContractError):
@@ -257,6 +259,28 @@ class TestMetropolisStep:
         assert new.accepted_count == 0
         assert new is state
         assert any("non-finite" in r.message for r in caplog.records)
+
+    def test_zero_density_state_takes_any_finite_proposal(self, caplog):
+        target = TruncatedNormalTarget(2.0)
+        state = make_state([2.5], 1.0, target)
+        with caplog.at_level("WARNING", logger="sapt.tempering"):
+            for seed in range(20):
+                new = metropolis_step(state, np.array([1.9]), 0.0, target,
+                                      np.random.default_rng(seed))
+                assert new.accepted_count == 1
+                assert new.log_lik == target.log_likelihood(np.array([1.9]))
+        assert not caplog.records
+
+    def test_zero_density_proposal_rejects_quietly(self, caplog):
+        target = TruncatedNormalTarget(2.0)
+        inside = make_state([1.0], 1.0, target)
+        outside = make_state([2.5], 1.0, target)
+        with caplog.at_level("WARNING", logger="sapt.tempering"):
+            for state in (inside, outside):
+                new = metropolis_step(state, np.array([3.0]), 0.0, target,
+                                      np.random.default_rng(31))
+                assert new is state
+        assert not caplog.records
 
 
 class TestSwap:
