@@ -9,7 +9,10 @@ are on disk, are copied into .bench_build/pairs/. Pair k runs
 base first in even pairs and change first in odd ones, so that a slow
 stretch of the host does not always fall on one side. The script prints
 every pair's end-to-end metrics, then for each metric the median and
-quartiles of both sides and in how many pairs the change was better.
+quartiles of both sides, in how many pairs the change was better, and
+whether a gain holds by the rule a claim needs: the change better in at
+least 9 of 10 pairs, and its median ahead of the base median by more
+than the base side's interquartile range.
 It exits 1 if any run failed or had a failed operation, and removes the
 copies on the way out.
 """
@@ -84,27 +87,48 @@ def run_side(checkout: Path, args, seed: int) -> dict | None:
     return result
 
 
+def quartiles(values) -> tuple:
+    """(q1, median, q3) of values; one value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def gain_verdict(base, change, better: str) -> tuple:
+    """(pairs the change won, whether the gain rule holds).
+
+    The rule holds when the change is better in at least 9 of every 10
+    pairs and its median beats the base median by more than the base
+    side's interquartile range.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    q1, base_median, q3 = quartiles(base)
+    gap = sign * (base_median - statistics.median(change))
+    return wins, 10 * wins >= 9 * len(base) and gap > q3 - q1
+
+
 def summarize(metrics, results) -> None:
     print(f"{'metric':<16} {'base median [q1, q3]':>30} "
-          f"{'change median [q1, q3]':>30} {'change':>8} {'wins':>6}")
+          f"{'change median [q1, q3]':>30} {'change':>8} {'wins':>6} "
+          f"{'gain':>5}")
     for name, better in metrics:
         base = [r["base"]["metrics"][name]["value"] for r in results]
         change = [r["change"]["metrics"][name]["value"] for r in results]
-        wins = sum((c < b) if better == "lower" else (c > b)
-                   for b, c in zip(base, change))
+        wins, holds = gain_verdict(base, change, better)
 
         def spread(values):
-            median = statistics.median(values)
+            q1, median, q3 = quartiles(values)
             if len(values) < 2:
                 return median, f"{median:.4g}"
-            q1, _, q3 = statistics.quantiles(values, n=4)
             return median, f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
         base_median, base_text = spread(base)
         change_median, change_text = spread(change)
         delta = (change_median / base_median - 1.0) * 100.0 \
             if base_median else float("nan")
         print(f"{name:<16} {base_text:>30} {change_text:>30} "
-              f"{delta:>+7.1f}% {wins:>3}/{len(results)}")
+              f"{delta:>+7.1f}% {wins:>3}/{len(results)} "
+              f"{'yes' if holds else 'no':>5}")
 
 
 def main(argv=None) -> int:

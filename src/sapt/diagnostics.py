@@ -6,15 +6,17 @@ the same chain twice produces byte-identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .bnn import NetworkTopology, class_probabilities, predict_accuracy
+from .bnn import (PROB_FLOOR, NetworkTopology, class_probabilities,
+                  predict_accuracy)
 from .exceptions import ConfigError, ContractError
-from .orchestrator import PosteriorChain, RunReport
+from .orchestrator import PosteriorChain, RunReport, _value
 
 HISTOGRAM_BINS = 50
 
@@ -24,9 +26,14 @@ MODE_POSTERIOR_MEAN = "posterior_mean"
 
 @dataclass(frozen=True)
 class AccuracySummary:
-    """Classification accuracy statistics over retained posterior samples.
+    """Classification accuracy statistics over retained posterior samples,
+    and proper scores of the posterior-mean predictive on the test split.
 
-    All accuracy fields are percentages in [0, 100].
+    All accuracy fields are percentages in [0, 100]. The test_* scores
+    are per-row means over the test split: log predictive density (log
+    of the label's probability, at most 0), Brier score (squared
+    distance to the one-hot label, in [0, 2]) and the accuracy of the
+    most probable class; None where a summary lacks them.
     """
 
     train_mean: float
@@ -36,6 +43,9 @@ class AccuracySummary:
     test_std: float
     test_best: float
     elapsed_minutes: float = 0.0
+    test_log_predictive_density: float | None = None
+    test_brier: float | None = None
+    test_accuracy_posterior_mean: float | None = None
 
     def __post_init__(self):
         slack = 1e-9
@@ -50,6 +60,12 @@ class AccuracySummary:
             for value in (mean, best):
                 if not -slack <= value <= 100 + slack:
                     raise ContractError(f"{tag} accuracy outside [0,100]")
+        for name, lo, hi in (("test_log_predictive_density", -math.inf, 0.0),
+                             ("test_brier", 0.0, 2.0),
+                             ("test_accuracy_posterior_mean", 0.0, 100.0)):
+            value = getattr(self, name)
+            if value is not None and not lo - slack <= value <= hi + slack:
+                raise ContractError(f"{name} {value} outside [{lo}, {hi}]")
 
     def to_text(self) -> str:
         return (
@@ -59,16 +75,25 @@ class AccuracySummary:
             f"test_accuracy_mean {self.test_mean:.8g}\n"
             f"test_accuracy_std {self.test_std:.8g}\n"
             f"test_accuracy_best {self.test_best:.8g}\n"
+            f"test_log_predictive_density "
+            f"{_value(self.test_log_predictive_density)}\n"
+            f"test_brier {_value(self.test_brier)}\n"
+            f"test_accuracy_posterior_mean "
+            f"{_value(self.test_accuracy_posterior_mean)}\n"
             f"elapsed_minutes {self.elapsed_minutes:.8g}\n"
         )
 
 
-def _mean_prediction_accuracy(thetas, dataset, topology) -> float:
+def _summed_probabilities(thetas, dataset, topology) -> np.ndarray:
+    """Class probabilities of dataset's rows, summed over thetas."""
     probs = np.zeros((dataset.sample_count, dataset.class_count))
     for theta in thetas:
         probs += class_probabilities(theta, dataset.features, topology)
-    predicted = probs.argmax(axis=1)
-    return 100.0 * float(np.mean(predicted == dataset.labels))
+    return probs
+
+
+def _accuracy(probs, dataset) -> float:
+    return 100.0 * float(np.mean(probs.argmax(axis=1) == dataset.labels))
 
 
 def posterior_accuracy(chain: PosteriorChain, train, test,
@@ -80,12 +105,28 @@ def posterior_accuracy(chain: PosteriorChain, train, test,
     per_sample scores every thinned sample separately and reports
     mean/std/best over those scores; posterior_mean averages the class
     probabilities across samples first and scores that single
-    prediction, so mean = best and std = 0.
+    prediction, so mean = best and std = 0. Either way the test split's
+    posterior-mean probabilities are built once, and give the log
+    predictive density (each label probability clamped below at
+    PROB_FLOOR, as the likelihood is), the Brier score and the accuracy
+    of that predictive.
     """
+    if mode not in (MODE_PER_SAMPLE, MODE_POSTERIOR_MEAN):
+        raise ConfigError(f"unknown accuracy mode {mode!r}")
     thetas = chain.combined_posterior(thin)
     if thetas.shape[0] == 0:
         raise ContractError("posterior is empty after thinning")
-    minutes = elapsed_seconds / 60.0
+    test_sum = _summed_probabilities(thetas, test, topology)
+    test_probs = test_sum / thetas.shape[0]
+    picked = test_probs[np.arange(test.sample_count), test.labels]
+    common = dict(
+        elapsed_minutes=elapsed_seconds / 60.0,
+        test_log_predictive_density=float(
+            np.mean(np.log(np.maximum(picked, PROB_FLOOR)))),
+        test_brier=float(np.mean(
+            np.sum((test_probs - test.one_hot) ** 2, axis=1))),
+        test_accuracy_posterior_mean=_accuracy(test_sum, test),
+    )
     if mode == MODE_PER_SAMPLE:
         train_acc = np.array(
             [predict_accuracy(t, train, topology) for t in thetas])
@@ -98,17 +139,14 @@ def posterior_accuracy(chain: PosteriorChain, train, test,
             test_mean=float(test_acc.mean()),
             test_std=float(test_acc.std()),
             test_best=float(test_acc.max()),
-            elapsed_minutes=minutes,
+            **common,
         )
-    if mode == MODE_POSTERIOR_MEAN:
-        train_acc = _mean_prediction_accuracy(thetas, train, topology)
-        test_acc = _mean_prediction_accuracy(thetas, test, topology)
-        return AccuracySummary(
-            train_mean=train_acc, train_std=0.0, train_best=train_acc,
-            test_mean=test_acc, test_std=0.0, test_best=test_acc,
-            elapsed_minutes=minutes,
-        )
-    raise ConfigError(f"unknown accuracy mode {mode!r}")
+    train_acc = _accuracy(_summed_probabilities(thetas, train, topology),
+                          train)
+    test_acc = common["test_accuracy_posterior_mean"]
+    return AccuracySummary(
+        train_mean=train_acc, train_std=0.0, train_best=train_acc,
+        test_mean=test_acc, test_std=0.0, test_best=test_acc, **common)
 
 
 def compose_report(report: RunReport, summary: AccuracySummary) -> str:

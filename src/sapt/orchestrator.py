@@ -196,7 +196,10 @@ class RunReport:
     swap_attempts: int = 0
     swap_accepts: int = 0
     replica_acceptance: list = field(default_factory=list)
-    train_rmse: list = field(default_factory=list)  # scaled units, per interval
+    train_rmse: list = field(default_factory=list)  # scaled units, per refit
+    # each refit's surrogate interval, counted from 1; an interval that
+    # staged no true-likelihood rows has no refit
+    refit_intervals: list = field(default_factory=list)
     prediction_rmse: float | None = None            # raw units
     truths_measured: int = 0    # surrogate-path steps prediction_rmse covers
     partial: bool = False
@@ -222,7 +225,8 @@ class RunReport:
         ]
         for i, rate in enumerate(self.replica_acceptance):
             lines.append(f"acceptance_rate_replica{i} {rate:.8g}")
-        for k, rmse in enumerate(self.train_rmse, start=1):
+        for k, rmse in zip(self.refit_intervals, self.train_rmse,
+                           strict=True):
             lines.append(f"surrogate_train_rmse_interval{k} {rmse:.8g}")
         train = np.asarray(self.train_rmse)
         mean, std = (train.mean(), train.std()) if train.size else (None, None)
@@ -386,6 +390,8 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
                 inputs, targets = zip(*rows)
                 report.train_rmse.append(surrogate.train(
                     SurrogateBatch(np.array(inputs), np.array(targets))))
+                report.refit_intervals.append(
+                    (block + 1) // config.blocks_per_interval)
             else:
                 log.warning("surrogate interval yielded no true-likelihood "
                             "rows; training skipped")

@@ -12,9 +12,11 @@ w1 (L x h1), w2 (h1 x h2), w3 (h2 x 1), b1, b2, b3, each weight matrix
 row-major; gradients come back in the same layout, and the Adam moments
 m and v are two flat vectors beside it, so one Adam step is a single
 pass of vector ops. Every fit uses the same constants: TRAIN_EPOCHS
-(20) passes in mini-batches of TRAIN_BATCH_SIZE (32) rows, and Adam
+(10) passes in mini-batches of TRAIN_BATCH_SIZE (32) rows, and Adam
 with step size ADAM_STEP_SIZE (1e-3), ADAM_BETA1 (0.9), ADAM_BETA2
-(0.999) and ADAM_EPS (1e-8).
+(0.999) and ADAM_EPS (1e-8). Ten epochs cost half of twenty, and a
+warm-started fit ranks held-out likelihoods as well after ten as after
+twenty; at eight and fewer the ranking falls off.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class SurrogateBatch:
         return self.inputs.shape[0]
 
 
-TRAIN_EPOCHS = 20
+TRAIN_EPOCHS = 10
 TRAIN_BATCH_SIZE = 32
 ADAM_STEP_SIZE = 1e-3
 ADAM_BETA1 = 0.9

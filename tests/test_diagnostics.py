@@ -1,10 +1,12 @@
+import math
 import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sapt.bnn import class_probabilities, predict_accuracy
+from sapt.bnn import NetworkTopology, class_probabilities, predict_accuracy
+from sapt.data import make_dataset
 from sapt.diagnostics import (
     HISTOGRAM_BINS,
     MODE_PER_SAMPLE,
@@ -17,7 +19,8 @@ from sapt.diagnostics import (
     write_surrogate_trace,
 )
 from sapt.exceptions import ConfigError, ContractError
-from sapt.orchestrator import SamplerConfig, run, run_target
+from sapt.orchestrator import (PosteriorChain, ReplicaTrace, SamplerConfig,
+                               run, run_target)
 from sapt.tempering import ProposalConfig
 
 import _diagnostics_reference as ref
@@ -53,12 +56,18 @@ class TestAccuracySummary:
             AccuracySummary(50.0, 1.0, 40.0, 50.0, 1.0, 60.0)
         with pytest.raises(ContractError):
             AccuracySummary(150.0, 1.0, 160.0, 50.0, 1.0, 60.0)
+        for scores in ({"test_log_predictive_density": 0.1},
+                       {"test_brier": 2.5},
+                       {"test_accuracy_posterior_mean": -1.0}):
+            with pytest.raises(ContractError):
+                AccuracySummary(50.0, 1.0, 60.0, 50.0, 1.0, 60.0, **scores)
 
     def test_to_text_keys(self):
         s = AccuracySummary(90.0, 1.0, 95.0, 85.0, 2.0, 92.0, 1.5)
         text = s.to_text()
         for key in ["train_accuracy_mean 90", "test_accuracy_best 92",
-                    "elapsed_minutes 1.5"]:
+                    "elapsed_minutes 1.5", "test_log_predictive_density n/a",
+                    "test_brier n/a", "test_accuracy_posterior_mean n/a"]:
             assert key in text
 
 
@@ -104,6 +113,36 @@ class TestPosteriorAccuracy:
         b = posterior_accuracy(doubled, tiny_dataset, tiny_dataset,
                                tiny_topology, thin=5)
         npt.assert_allclose(a.train_mean, b.train_mean, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", [MODE_PER_SAMPLE, MODE_POSTERIOR_MEAN])
+    def test_predictive_scores_by_hand(self, mode):
+        # 1-1-2 network with zero hidden-to-output weights: every row's
+        # class probabilities are softmax(del_o), (1/2, 1/2) for one
+        # sample and (3/4, 1/4) for the other; their mean is (5/8, 3/8)
+        topology = NetworkTopology(1, 1, 2)
+        test = make_dataset([[0.3], [-1.2], [2.0]], [0, 1, 0], 2)
+        samples = np.array([[0.7, -0.4, 0.0, 0.0, 0.0, 0.0],
+                            [0.7, -0.4, 0.0, 0.0, math.log(3.0), 0.0]])
+        trace = ReplicaTrace(
+            replica=0, samples=samples, log_liks=np.zeros(2),
+            exploit_start=0, surrogate_steps=np.empty(0, np.int64),
+            surrogate_estimates=np.empty(0), surrogate_truths=np.empty(0))
+        chain = PosteriorChain(traces=[trace], parameter_count=6)
+        summary = posterior_accuracy(chain, test, test, topology, thin=1,
+                                     mode=mode)
+        lpd = (2 * math.log(5 / 8) + math.log(3 / 8)) / 3
+        # label 0: (3/8)^2 + (3/8)^2; label 1: (5/8)^2 + (5/8)^2
+        brier = (2 * 18 / 64 + 50 / 64) / 3
+        npt.assert_allclose(summary.test_log_predictive_density, lpd,
+                            rtol=1e-14)
+        npt.assert_allclose(summary.test_brier, brier, rtol=1e-14)
+        npt.assert_allclose(summary.test_accuracy_posterior_mean, 200 / 3,
+                            rtol=1e-14)
+        text = summary.to_text().splitlines()
+        for key, value in (("test_log_predictive_density", lpd),
+                           ("test_brier", brier),
+                           ("test_accuracy_posterior_mean", 200 / 3)):
+            assert f"{key} {value:.8g}" in text
 
     def test_elapsed_minutes_passthrough(self, bnn_chain, tiny_dataset,
                                          tiny_topology):

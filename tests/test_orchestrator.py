@@ -21,6 +21,7 @@ from sapt.orchestrator import (
     run_target,
     swap_sweep,
 )
+from sapt import surrogate
 from sapt.surrogate import surrogate_rmse
 from sapt.tempering import (
     KIND_LANGEVIN_MIX,
@@ -515,6 +516,27 @@ class TestSurrogatePath:
         for rmse in report.train_rmse:
             assert 0.0 <= rmse < 1.0
 
+    def test_refit_lines_name_their_intervals(self):
+        """An interval that stages no true-likelihood rows is skipped, and
+        each refit's report line names its own interval, not its count."""
+        cfg = small_config(total_samples=1800, swap_interval=5,
+                           surrogate_interval=10, surrogate_prob=0.97)
+        chain, report = run_target(cfg, quad_target(), DIM)
+        # interval k refits iff some replica took a true-path step in it
+        true_steps = set()
+        for trace in chain.traces:
+            true_path = np.ones(trace.steps, dtype=bool)
+            true_path[trace.surrogate_steps] = False
+            true_steps.update(np.flatnonzero(true_path).tolist())
+        intervals = sorted({s // 10 + 1 for s in true_steps})
+        assert intervals != list(range(1, len(intervals) + 1))
+        assert len(report.train_rmse) == len(intervals)
+        written = [line for line in report.to_text().splitlines()
+                   if line.startswith("surrogate_train_rmse_interval")]
+        assert written == [f"surrogate_train_rmse_interval{k} {rmse:.8g}"
+                           for k, rmse in zip(intervals, report.train_rmse)]
+        assert report.refit_intervals == intervals
+
     def test_training_rows_in_runner_then_step_order(self, monkeypatch):
         """Each refit gets every runner's true-path rows since the last
         one: runner 0's first, each runner's in step order."""
@@ -573,7 +595,7 @@ class TestFailurePaths:
         # its interval's calls, so the failing run refits wherever the
         # same run on a target that never fails has made at most 500 calls
         # by then. A rejected surrogate-path step makes no call, but this
-        # target accepts most of them: 446 calls before refit 3 and 596
+        # target accepts most of them: 446 calls before refit 3 and 592
         # before refit 4, so 3 refits. sequential_mode is ignored, so the
         # counts are the same under either value
         cfg = small_config(total_samples=1800, swap_interval=25,
@@ -590,7 +612,7 @@ class TestFailurePaths:
         monkeypatch.setattr(orchestrator.SurrogateModel, "train", counted)
         run_target(cfg, counting, DIM)
         refits = sum(calls <= 500 for calls in calls_at_refit)
-        assert calls_at_refit[2:4] == [446, 596]
+        assert calls_at_refit[2:4] == [446, 592]
         assert refits == 3
 
         target = FailingTarget(center=CENTER, fail_after=500)
@@ -721,13 +743,19 @@ class TestLeanKernelChains:
 class TestFlatSurrogateChains:
     def test_chains_match_reference_surrogate(self, iris, monkeypatch):
         """A surrogate run samples the same chains with the flat-vector
-        surrogate as with the frozen per-layer reference."""
+        surrogate as with the frozen per-layer reference, run at the
+        flat model's epoch count and batch size."""
+        class Reference(_surrogate_reference.SurrogateModel):
+            def train(self, batch):
+                return super().train(
+                    batch, epochs=surrogate.TRAIN_EPOCHS,
+                    batch_size=surrogate.TRAIN_BATCH_SIZE)
+
         cfg = small_config(total_samples=600, swap_interval=10,
                            surrogate_interval=40, surrogate_prob=0.5)
         topo = NetworkTopology(4, 5, 3)
         flat, flat_report = run(cfg, iris[1], topo)
-        monkeypatch.setattr(orchestrator, "SurrogateModel",
-                            _surrogate_reference.SurrogateModel)
+        monkeypatch.setattr(orchestrator, "SurrogateModel", Reference)
         reference, reference_report = run(cfg, iris[1], topo)
         assert flat_report.surrogate_evals > 0
         assert flat_report.train_rmse == reference_report.train_rmse

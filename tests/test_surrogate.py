@@ -153,7 +153,7 @@ class TestSurrogateModel:
                 surrogate.ADAM_BETA2, surrogate.ADAM_EPS) == \
             (1e-3, 0.9, 0.999, 1e-8)
         assert (surrogate.TRAIN_EPOCHS, surrogate.TRAIN_BATCH_SIZE) == \
-            (20, 32)
+            (10, 32)
 
 
 class TestFlatModelMatchesReference:
