@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import sapt.orchestrator as orchestrator
-from sapt import bnn
+from sapt import bnn, surrogate
 from sapt.bnn import BnnPosterior, NetworkTopology, PriorConfig
 from sapt.data import make_dataset
 from sapt.exceptions import ConfigError, ContractError
@@ -21,7 +21,6 @@ from sapt.orchestrator import (
     run_target,
     swap_sweep,
 )
-from sapt import surrogate
 from sapt.surrogate import surrogate_rmse
 from sapt.tempering import (
     KIND_LANGEVIN_MIX,
