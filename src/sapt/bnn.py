@@ -14,24 +14,28 @@ and class probabilities come from a softmax over the O outputs.
 
 The likelihood kernel works in place on its own temporaries. An
 elementwise pass applies one IEEE operation per element, so its order
-does not change a bit; the reductions and the two matrix products, whose
+does not change a bit; the reductions and the matrix products, whose
 bits depend on layout, keep the plain formulas' layout. From LONG_ROWS
 data rows on, the elementwise passes run along long contiguous rows:
-each bias add folds FOLD_ROWS rows into one wide row, and log_likelihood
-copies the (N, O) outputs to a contiguous class-major (O, N) array for
-the exp shift. Below LONG_ROWS, and in the softmax and gradient paths,
-the shift reads the class-major view out.T, as the copy and the tiled
-bias would cost more than they save there. The shift reduces one class
-row at a time: the max with np.maximum and, below PAIRWISE_SUM_CLASSES,
-the sum with +=. numpy sums a last axis shorter than 8 elements in
-sequence, so the row adds give the bits of np.sum(axis=-1); from 8
-elements on it sums pairwise, so the kernel keeps that axis sum over the
-(N, O) layout. The label probabilities are read with a flat index that
-the Dataset builds once for each layout. Every function therefore
-returns the same bits as the plain formulas (kept in
+each bias add folds FOLD_ROWS rows into one wide row, and the likelihood
+pass copies the (N, O) outputs to a contiguous class-major (O, N) array
+for the exp shift. Below LONG_ROWS, and in the softmax paths, the shift
+reads the class-major view out.T, as the copy and the tiled bias would
+cost more than they save there. The shift reduces one class row at a
+time: the max with np.maximum and, below PAIRWISE_SUM_CLASSES, the sum
+with +=. numpy sums a last axis shorter than 8 elements in sequence, so
+the row adds give the bits of np.sum(axis=-1); from 8 elements on it
+sums pairwise, so the kernel keeps that axis sum over the (N, O) layout.
+The label probabilities are read with a flat index that the Dataset
+builds once for each layout. The log-likelihood gradient finishes a
+likelihood pass: it normalizes the shifted outputs, writes one_hot -
+probs into the C-contiguous (N, O) outputs, and the backward pass
+writes each layer's gradient into its slice of one new vector. Every
+function therefore returns the same bits as the plain formulas (kept in
 tests/_bnn_reference.py), and a seed gives the same chains whichever
-computed them. log_likelihood_and_gradient gives both from one pass;
-BnnPosterior remembers its last two results.
+computed them. BnnPosterior remembers its last three results, with
+the gradient or the likelihood pass's activations, for drift steps to
+reuse.
 """
 
 from __future__ import annotations
@@ -101,16 +105,18 @@ def check_theta(theta: np.ndarray, topology: NetworkTopology) -> np.ndarray:
     return theta
 
 
-def unpack(theta: np.ndarray, topology: NetworkTopology):
-    """Split a flat parameter vector into (w, del_h, v, del_o) views."""
-    theta = check_theta(theta, topology)
+def _views(flat: np.ndarray, topology: NetworkTopology):
+    """(w, del_h, v, del_o) views of a flat vector in theta layout."""
     i, h, o = topology.input_count, topology.hidden_count, topology.output_count
     n_w = i * h
-    w = theta[:n_w].reshape(i, h)
-    del_h = theta[n_w:n_w + h]
-    v = theta[n_w + h:n_w + h + h * o].reshape(h, o)
-    del_o = theta[n_w + h + h * o:]
-    return w, del_h, v, del_o
+    return (flat[:n_w].reshape(i, h), flat[n_w:n_w + h],
+            flat[n_w + h:n_w + h + h * o].reshape(h, o),
+            flat[n_w + h + h * o:])
+
+
+def unpack(theta: np.ndarray, topology: NetworkTopology):
+    """Split a flat parameter vector into (w, del_h, v, del_o) views."""
+    return _views(check_theta(theta, topology), topology)
 
 
 def pack(w, del_h, v, del_o) -> np.ndarray:
@@ -145,7 +151,7 @@ def _exp_shifted_inplace(e: np.ndarray):
     e -= row_max
     np.exp(e, out=e)
     if classes >= PAIRWISE_SUM_CLASSES:
-        return e, np.sum(np.ascontiguousarray(e.T), axis=-1)
+        return e, np.add.reduce(np.ascontiguousarray(e.T), axis=-1)
     row_sum = e[0].copy()
     for j in range(1, classes):
         row_sum += e[j]
@@ -189,17 +195,9 @@ def _add_bias(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m
 
 
-def _hidden(w, del_h, features):
-    return _sigmoid_inplace(_add_bias(features @ w, del_h))
-
-
-def _outputs(hidden, v, del_o):
-    return _add_bias(hidden @ v, del_o)
-
-
-def forward_batch(theta: np.ndarray, features: np.ndarray,
-                  topology: NetworkTopology) -> np.ndarray:
-    """Pre-softmax outputs for a feature matrix, one row per sample."""
+def _forward(theta: np.ndarray, features: np.ndarray,
+             topology: NetworkTopology):
+    """(v, hidden, pre-softmax outputs) of one forward pass."""
     w, del_h, v, del_o = unpack(theta, topology)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != topology.input_count:
@@ -207,12 +205,38 @@ def forward_batch(theta: np.ndarray, features: np.ndarray,
             f"feature matrix has shape {features.shape}, expected "
             f"(N, {topology.input_count})"
         )
-    return _outputs(_hidden(w, del_h, features), v, del_o)
+    hidden = _sigmoid_inplace(_add_bias(features @ w, del_h))
+    return v, hidden, _add_bias(hidden @ v, del_o)
+
+
+def forward_batch(theta: np.ndarray, features: np.ndarray,
+                  topology: NetworkTopology) -> np.ndarray:
+    """Pre-softmax outputs for a feature matrix, one row per sample."""
+    return _forward(theta, features, topology)[2]
 
 
 def class_probabilities(theta: np.ndarray, features: np.ndarray,
                         topology: NetworkTopology) -> np.ndarray:
     return _softmax_inplace(forward_batch(theta, features, topology))
+
+
+def _log_likelihood_pass(theta: np.ndarray, dataset,
+                         topology: NetworkTopology):
+    """(log_likelihood, the activations _gradient_from takes)."""
+    n = dataset.features.shape[0]
+    if n < 1:
+        raise ContractError("log_likelihood needs a nonempty dataset")
+    _, hidden, out = _forward(theta, dataset.features, topology)
+    # only the label entry of each row is normalized
+    if n < LONG_ROWS:
+        e, row_sum = _exp_shifted_inplace(out.T)
+        picked = out.ravel().take(dataset.label_index)
+    else:
+        e, row_sum = _exp_shifted_inplace(out.T.copy())
+        picked = e.ravel().take(dataset.class_label_index)
+    picked /= row_sum
+    np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
+    return float(np.add.reduce(picked)), (hidden, out, e, row_sum)
 
 
 def log_likelihood(theta: np.ndarray, dataset, topology: NetworkTopology) -> float:
@@ -221,20 +245,7 @@ def log_likelihood(theta: np.ndarray, dataset, topology: NetworkTopology) -> flo
     Probabilities are clamped below at PROB_FLOOR so the result is
     finite for every finite theta.
     """
-    n = dataset.features.shape[0]
-    if n < 1:
-        raise ContractError("log_likelihood needs a nonempty dataset")
-    out = forward_batch(theta, dataset.features, topology)
-    # only the label entry of each row is normalized
-    if n < LONG_ROWS:
-        _, row_sum = _exp_shifted_inplace(out.T)
-        picked = out.ravel().take(dataset.label_index)
-    else:
-        e, row_sum = _exp_shifted_inplace(out.T.copy())
-        picked = e.ravel().take(dataset.class_label_index)
-    picked /= row_sum
-    np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
-    return float(np.sum(picked))
+    return _log_likelihood_pass(theta, dataset, topology)[0]
 
 
 def log_prior(theta: np.ndarray, prior: PriorConfig) -> float:
@@ -252,47 +263,44 @@ def log_prior_gradient(theta: np.ndarray, prior: PriorConfig) -> np.ndarray:
     return -np.asarray(theta, dtype=np.float64) / prior.sigma_sq
 
 
-def _backprop(theta, dataset, topology, d_out_of):
-    """Chain rule from per-sample output derivatives to vector layout.
-
-    d_out_of(probs) gives d(objective)/d(pre-softmax outputs), one row
-    per sample, and may overwrite probs; the result is the objective's
-    gradient in theta layout.
-    """
-    w, del_h, v, del_o = unpack(theta, topology)
-    features = dataset.features
-    hidden = _hidden(w, del_h, features)
-    d_out = d_out_of(_softmax_inplace(_outputs(hidden, v, del_o)))
-    g_v = hidden.T @ d_out
-    g_del_o = d_out.sum(axis=0)
+def _backward(v, hidden, d_out, features, topology) -> np.ndarray:
+    """Chain rule from per-sample output derivatives d_out to one new
+    gradient vector in theta layout; overwrites hidden."""
+    grad = np.empty(topology.parameter_count)
+    g_w, g_del_h, g_v, g_del_o = _views(grad, topology)
+    np.matmul(hidden.T, d_out, out=g_v)
+    np.add.reduce(d_out, axis=0, out=g_del_o)
     d_pre = d_out @ v.T
     d_pre *= hidden
     # g_v was the last use of hidden, so 1 - hidden may overwrite it
     d_pre *= np.subtract(1.0, hidden, out=hidden)
-    g_w = features.T @ d_pre
-    g_del_h = d_pre.sum(axis=0)
-    return pack(g_w, g_del_h, g_v, g_del_o)
+    np.matmul(features.T, d_pre, out=g_w)
+    np.add.reduce(d_pre, axis=0, out=g_del_h)
+    return grad
+
+
+def _gradient_from(theta, activations, dataset, topology) -> np.ndarray:
+    """The log-likelihood gradient at theta from the activations of a
+    _log_likelihood_pass at theta, which it overwrites."""
+    hidden, out, e, row_sum = activations
+    e /= row_sum
+    d_out = np.subtract(dataset.one_hot, e.T, out=out)
+    return _backward(_views(theta, topology)[2], hidden, d_out,
+                     dataset.features, topology)
 
 
 def log_likelihood_and_gradient(theta: np.ndarray, dataset,
                                 topology: NetworkTopology):
     """(log_likelihood, its gradient in vector layout) from one pass.
 
-    The label column of the normalized softmax has log_likelihood's
-    picked bits. The gradient is the softmax cross-entropy one,
-    d(log pi_label)/df_j = z_j - pi_j per sample; the PROB_FLOOR clamp
-    is ignored, so it is the gradient of the unclamped log-likelihood.
-    This is the gradient the Langevin drift proposal climbs.
+    The gradient is the softmax cross-entropy one, d(log pi_label)/df_j
+    = z_j - pi_j per sample; the PROB_FLOOR clamp is ignored, so it is
+    the gradient of the unclamped log-likelihood, which the Langevin
+    drift proposal climbs.
     """
-    picked = None
-
-    def d_out_of(probs):
-        nonlocal picked
-        picked = probs.ravel().take(dataset.label_index)
-        return np.subtract(dataset.one_hot, probs, out=probs)
-    grad = _backprop(theta, dataset, topology, d_out_of)
-    np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
-    return float(np.sum(picked)), grad
+    theta = np.asarray(theta, dtype=np.float64)
+    value, activations = _log_likelihood_pass(theta, dataset, topology)
+    return value, _gradient_from(theta, activations, dataset, topology)
 
 
 def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.ndarray:
@@ -301,12 +309,13 @@ def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.nd
     pi are the softmax outputs, z the one-hot targets. The sampler does
     not use this objective; it is kept as a squared-error diagnostic.
     """
-    def d_out_of(probs):
-        diff = probs - dataset.one_hot
-        # dE/df_j = 2 pi_j ((pi_j - z_j) - sum_k (pi_k - z_k) pi_k), per sample
-        row_dot = np.sum(diff * probs, axis=1, keepdims=True)
-        return 2.0 * probs * (diff - row_dot)
-    return _backprop(theta, dataset, topology, d_out_of)
+    v, hidden, out = _forward(theta, dataset.features, topology)
+    probs = _softmax_inplace(out)
+    diff = probs - dataset.one_hot
+    # dE/df_j = 2 pi_j ((pi_j - z_j) - sum_k (pi_k - z_k) pi_k), per sample
+    row_dot = np.sum(diff * probs, axis=1, keepdims=True)
+    return _backward(v, hidden, 2.0 * probs * (diff - row_dot),
+                     dataset.features, topology)
 
 
 def predict_accuracy(theta: np.ndarray, dataset, topology: NetworkTopology) -> float:
@@ -333,12 +342,17 @@ class BnnPosterior:
     squared-error gradient, kept for diagnostics; no sampler calls it.
 
     A drift step needs gradients at theta and its proposal, then the
-    proposal's likelihood: one fused pass gives both, remembered for the
-    MEMO_SIZE points used last, keyed by theta's exact shape and bytes.
-    The values are the module functions' bits; gradients are read-only.
+    proposal's likelihood: one fused pass gives both. Once a gradient
+    has been served, a likelihood miss also keeps its pass's activations
+    (hidden layer, shifted outputs, row sums), and a gradient at that
+    point, as a drift step from an accepted random-walk proposal asks
+    for, then needs only a backward pass. The MEMO_SIZE entries used
+    last are kept, so the current point outlasts one random-walk
+    proposal. Entries are keyed by theta's exact shape and bytes and
+    hold the module functions' bits; gradients are read-only.
     """
 
-    MEMO_SIZE = 2  # the current point and its proposal
+    MEMO_SIZE = 3  # the current point, a drift and a random-walk proposal
 
     def __init__(self, topology: NetworkTopology, dataset, prior: PriorConfig):
         if dataset.features.shape[1] != topology.input_count:
@@ -354,20 +368,26 @@ class BnnPosterior:
         self.topology = topology
         self.dataset = dataset
         self.prior = prior
-        self._memo = {}  # key -> (value, gradient), least recent first
+        # key -> [value, gradient or activations], least recent first
+        self._memo = {}
 
-    def _recall(self, theta: np.ndarray):
-        """(key, remembered pair or None); a hit becomes the newest."""
-        theta = np.asarray(theta, dtype=np.float64)
+    def _entry(self, theta: np.ndarray, compute) -> list:
+        """theta's memo entry, made the newest; a miss stores
+        compute(theta, dataset, topology)."""
         key = (theta.shape, theta.tobytes())
-        if key in self._memo:
-            self._memo[key] = self._memo.pop(key)
-        return key, self._memo.get(key)
+        entry = self._memo.pop(key, None)
+        if entry is None:
+            entry = list(compute(theta, self.dataset, self.topology))
+            if len(self._memo) == self.MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+        self._memo[key] = entry
+        return entry
 
     def log_likelihood(self, theta: np.ndarray) -> float:
-        pair = self._recall(theta)[1] if self._memo else None
-        return pair[0] if pair else log_likelihood(theta, self.dataset,
-                                                   self.topology)
+        if not self._memo:  # no gradient served yet: keep no activations
+            return log_likelihood(theta, self.dataset, self.topology)
+        theta = np.asarray(theta, dtype=np.float64)
+        return self._entry(theta, _log_likelihood_pass)[0]
 
     def log_prior(self, theta: np.ndarray) -> float:
         return log_prior(theta, self.prior)
@@ -376,15 +396,13 @@ class BnnPosterior:
         return sse_gradient(theta, self.dataset, self.topology)
 
     def log_likelihood_gradient(self, theta: np.ndarray) -> np.ndarray:
-        key, pair = self._recall(theta)
-        if pair is None:
-            pair = log_likelihood_and_gradient(theta, self.dataset,
-                                               self.topology)
-            pair[1].setflags(write=False)
-            self._memo[key] = pair
-            if len(self._memo) > self.MEMO_SIZE:
-                del self._memo[next(iter(self._memo))]
-        return pair[1]
+        theta = np.asarray(theta, dtype=np.float64)
+        entry = self._entry(theta, log_likelihood_and_gradient)
+        if isinstance(entry[1], tuple):  # a likelihood pass's activations
+            entry[1] = _gradient_from(theta, entry[1], self.dataset,
+                                      self.topology)
+        entry[1].setflags(write=False)
+        return entry[1]
 
     def log_prior_gradient(self, theta: np.ndarray) -> np.ndarray:
         return log_prior_gradient(theta, self.prior)

@@ -369,6 +369,7 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
                        float(ladder.temps[i]), surrogate, report)
         for i in range(config.replica_count)
     ]
+    skipped = 0     # surrogate intervals that staged no rows
     try:
         for block in range(-(-steps // config.swap_interval)):
             for runner in runners:
@@ -393,9 +394,12 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
                 report.refit_intervals.append(
                     (block + 1) // config.blocks_per_interval)
             else:
-                log.warning("surrogate interval yielded no true-likelihood "
-                            "rows; training skipped")
+                skipped += 1
     finally:
+        if skipped:
+            log.warning("%d of %d surrogate intervals yielded no "
+                        "true-likelihood rows; their training was skipped",
+                        skipped, skipped + len(report.refit_intervals))
         report.replica_acceptance = [
             runner.state.accepted_count / runner.step if runner.step else 0.0
             for runner in runners]

@@ -111,19 +111,28 @@ def langevin_log_q_ratio(theta, proposal, grad_theta, grad_proposal,
     step away from their conditioning point; the shared normalization
     cancels, leaving only the two quadratic forms.
     """
-    mean_fwd = theta - learning_rate * grad_theta
-    mean_rev = proposal - learning_rate * grad_proposal
     two_var = 2.0 * step_sd * step_sd
-    log_fwd = -float(np.sum((proposal - mean_fwd) ** 2)) / two_var
-    log_rev = -float(np.sum((theta - mean_rev) ** 2)) / two_var
+    log_fwd = -_squared_distance(proposal, theta, grad_theta,
+                                 learning_rate) / two_var
+    log_rev = -_squared_distance(theta, proposal, grad_proposal,
+                                 learning_rate) / two_var
     return log_rev - log_fwd
+
+
+def _squared_distance(x, start, grad, learning_rate: float) -> float:
+    """|x - (start - learning_rate * grad)|^2, in one temporary."""
+    d = learning_rate * grad
+    np.subtract(start, d, out=d)
+    np.subtract(x, d, out=d)
+    return float(np.add.reduce(np.square(d, out=d)))
 
 
 def energy_gradient(theta: np.ndarray, target, temperature: float):
     """Gradient of U = -(log_likelihood / T + log_prior), the energy
     whose exp(-U) the replica at temperature T samples."""
-    return -(target.log_likelihood_gradient(theta) / temperature
-             + target.log_prior_gradient(theta))
+    grad = target.log_likelihood_gradient(theta) / temperature
+    grad += target.log_prior_gradient(theta)
+    return np.negative(grad, out=grad)
 
 
 def propose_langevin(theta: np.ndarray, target, config: ProposalConfig, rng,
@@ -213,9 +222,10 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     else:
         accept = u <= prob
     if accept:
-        return replace(state, theta=proposal, log_lik=prop_ll,
-                       log_prior=prop_lp, log_lik_truth=None,
-                       accepted_count=state.accepted_count + 1)
+        return ReplicaState(theta=proposal, temperature=state.temperature,
+                            log_lik=prop_ll, log_prior=prop_lp,
+                            accepted_count=state.accepted_count + 1,
+                            phase=state.phase)
     return state
 
 

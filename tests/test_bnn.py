@@ -300,7 +300,7 @@ class TestBnnPosterior:
 
 
 class TestPosteriorMemo:
-    """BnnPosterior remembers (log-likelihood, gradient) of the two
+    """BnnPosterior remembers (log-likelihood, gradient) of the three
     points it used last and serves the module functions' bits."""
 
     @pytest.fixture
@@ -338,18 +338,20 @@ class TestPosteriorMemo:
 
     def test_least_recently_used_is_evicted(self, post, passes,
                                             tiny_topology):
-        a, b, c = self.thetas(3, tiny_topology)
+        a, b, c, d = self.thetas(4, tiny_topology)
         post.log_likelihood_gradient(a)
         post.log_likelihood_gradient(b)
+        post.log_likelihood_gradient(c)
         post.log_likelihood(a)
         post.log_likelihood_gradient(a)
-        post.log_likelihood_gradient(c)
-        assert len(passes) == 3
+        post.log_likelihood_gradient(d)
+        assert len(passes) == 4
         post.log_likelihood_gradient(a)
         post.log_likelihood_gradient(c)
-        assert len(passes) == 3
-        post.log_likelihood_gradient(b)
+        post.log_likelihood_gradient(d)
         assert len(passes) == 4
+        post.log_likelihood_gradient(b)
+        assert len(passes) == 5
 
     def test_mutated_theta_is_recomputed(self, post, passes, tiny_dataset,
                                          tiny_topology):
@@ -381,6 +383,72 @@ class TestPosteriorMemo:
         with pytest.raises(ValueError):
             grad[0] = 1.0
         assert post.log_likelihood_gradient(a) is grad
+
+
+class TestActivationReuse:
+    """A gradient at a point whose likelihood BnnPosterior computed last
+    finishes from that pass's activations, with the fused pass's bits."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Forward and backward passes, by the kernel functions."""
+        counts = {"_forward": 0, "_backward": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(bnn, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(bnn, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("classes, rows", [
+        (3, 90), (3, 1023), (3, 1024), (3, 1025), (9, 90), (9, 1025)])
+    def test_reuse_matches_fused_and_reference(self, classes, rows, passes):
+        for sd in LEAN_SDS:
+            theta, ds, topo = lean_case(classes, rows, sd)
+            value, fused = log_likelihood_and_gradient(theta, ds, topo)
+            post = BnnPosterior(topo, ds, PriorConfig())
+            post.log_likelihood_gradient(theta + 1.0)
+            before = dict(passes)
+            assert post.log_likelihood(theta) == value
+            grad = post.log_likelihood_gradient(theta.copy())
+            assert passes["_forward"] - before["_forward"] == 1
+            assert passes["_backward"] - before["_backward"] == 1
+            assert np.array_equal(grad, fused)
+            assert np.array_equal(grad,
+                                  ref.log_likelihood_gradient(theta, ds, topo))
+            assert value == ref.log_likelihood(theta, ds, topo)
+            with pytest.raises(ValueError):
+                grad[0] = 1.0
+            assert post.log_likelihood_gradient(theta) is grad
+            assert post.log_likelihood(theta) == value
+            assert dict(passes) == {name: before[name] + 1
+                                    for name in passes}
+
+    def test_current_point_survives_a_random_walk_store(self, passes):
+        theta, ds, topo = lean_case(3, 90, 1.0)
+        current, drift, walk = (theta + shift for shift in (0.0, 0.1, 0.2))
+        expected = log_likelihood_and_gradient(walk, ds, topo)[1]
+        passes.update(_forward=0, _backward=0)
+        post = BnnPosterior(topo, ds, PriorConfig())
+        # a rejected drift step from current, then a random-walk proposal
+        post.log_likelihood_gradient(current)
+        post.log_likelihood_gradient(drift)
+        post.log_likelihood(drift)
+        post.log_likelihood(walk)
+        assert passes == {"_forward": 3, "_backward": 2}
+        post.log_likelihood_gradient(current)
+        assert passes == {"_forward": 3, "_backward": 2}
+        # the walk was accepted; a random-walk proposal from it is rejected
+        post.log_likelihood(walk + 0.1)
+        assert np.array_equal(post.log_likelihood_gradient(walk), expected)
+        assert passes == {"_forward": 4, "_backward": 3}
+
+    def test_nothing_kept_before_a_gradient(self, passes):
+        theta, ds, topo = lean_case(3, 90, 1.0)
+        post = BnnPosterior(topo, ds, PriorConfig())
+        post.log_likelihood(theta)
+        post.log_likelihood_gradient(theta)
+        assert passes == {"_forward": 2, "_backward": 1}
 
 
 # Wide enough hidden layer that theta sd 30 drives some label

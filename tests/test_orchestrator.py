@@ -9,7 +9,7 @@ import pytest
 import sapt.orchestrator as orchestrator
 from sapt import bnn, surrogate
 from sapt.bnn import BnnPosterior, NetworkTopology, PriorConfig
-from sapt.data import make_dataset
+from sapt.data import load_registered, make_dataset
 from sapt.exceptions import ConfigError, ContractError
 from sapt.orchestrator import (
     SOURCE_SURROGATE,
@@ -652,10 +652,23 @@ class TestBnnRun:
         with pytest.raises(ContractError):
             run(cfg, tiny_dataset, NetworkTopology(5, 3, 2))
 
-
-def reference_pair(theta, dataset, topology):
-    return (_bnn_reference.log_likelihood(theta, dataset, topology),
-            _bnn_reference.log_likelihood_gradient(theta, dataset, topology))
+    def test_skipped_refits_warn_once(self, caplog):
+        """The cancer-surrogate benchmark workload at sub-seed 1000 with
+        surrogate_prob 0.999: most of its 40 intervals stage no true
+        likelihood rows, and the run logs one warning that counts them."""
+        entry, train, _ = load_registered("cancer", 0.6, seed=1000)
+        cfg = SamplerConfig(replica_count=4, total_samples=8000,
+                            swap_interval=50, surrogate_prob=0.999,
+                            base_seed=1000,
+                            surrogate_hidden=tuple(entry.surrogate_hidden))
+        with caplog.at_level("WARNING", logger="sapt.orchestrator"):
+            _, report = run(cfg, train, entry.topology())
+        warned = [r.getMessage() for r in caplog.records
+                  if "no true-likelihood rows" in r.getMessage()]
+        refits = len(report.refit_intervals)
+        assert 0 < refits < 40
+        assert len(warned) == 1
+        assert warned[0].startswith(f"{40 - refits} of 40 ")
 
 
 class PlainPosterior(BnnPosterior):
@@ -669,18 +682,53 @@ class PlainPosterior(BnnPosterior):
                                                self.topology)[1]
 
 
+class ReferencePosterior(BnnPosterior):
+    """BnnPosterior whose every likelihood and gradient call runs the
+    reference formulas."""
+
+    def log_likelihood(self, theta):
+        return _bnn_reference.log_likelihood(theta, self.dataset,
+                                             self.topology)
+
+    def log_likelihood_gradient(self, theta):
+        return _bnn_reference.log_likelihood_gradient(theta, self.dataset,
+                                                      self.topology)
+
+
 class TestPosteriorMemoRuns:
     @pytest.mark.parametrize("surrogate_prob", [0.0, 0.5])
     def test_fewer_passes_same_chains(self, surrogate_prob, iris,
                                       monkeypatch):
-        """With drift steps, the memo saves backward and forward passes
-        and the chains stay bit for bit those of fresh passes."""
-        counts = {"_backprop": 0, "forward_batch": 0}
+        """With drift steps, the memo saves backward and forward passes,
+        and the chains stay bit for bit those of fresh passes. Once it
+        has served a gradient, no replica's run of consecutive steps here
+        passes a theta forward twice: three entries keep the current
+        point through a random-walk proposal, where two did not. A
+        longer run can still see the current point evicted by three
+        newer entries (6 of 8004 points on iris-lg at sub-seed 9000)."""
+        counts = {"_forward": 0, "_backward": 0}
+        seen = set()    # thetas passed forward in this run of steps
+        repeats = []
+        stepping = [None]
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(bnn, name)):
                 counts[_name] += 1
+                if _name == "_forward" and counts["_backward"]:
+                    key = args[0].tobytes()
+                    if key in seen:
+                        repeats.append(key)
+                    seen.add(key)
                 return _fn(*args)
             monkeypatch.setattr(bnn, name, counted)
+
+        def one_step(runner, _fn=orchestrator._ReplicaRunner._one_step):
+            # the other replicas' steps in between may evict any entry
+            if stepping[0] is not runner:
+                stepping[0] = runner
+                seen.clear()
+            return _fn(runner)
+        monkeypatch.setattr(orchestrator._ReplicaRunner, "_one_step",
+                            one_step)
         topo = NetworkTopology(4, 5, 3)
         cfg = small_config(
             total_samples=480, swap_interval=10, surrogate_interval=40,
@@ -690,14 +738,17 @@ class TestPosteriorMemoRuns:
         for kind in (BnnPosterior, PlainPosterior):
             for name in counts:
                 counts[name] = 0
+            stepping[0] = None
+            repeats.clear()
             target = kind(topo, iris[1], cfg.prior)
             runs[kind] = (run_target(cfg, target, topo.parameter_count),
-                          dict(counts))
-        (memo, memo_report), memo_counts = runs[BnnPosterior]
-        (plain, plain_report), plain_counts = runs[PlainPosterior]
+                          dict(counts), len(repeats))
+        (memo, memo_report), memo_counts, memo_repeats = runs[BnnPosterior]
+        (plain, plain_report), plain_counts, _ = runs[PlainPosterior]
         assert not memo_report.partial and not plain_report.partial
         for name in counts:
             assert 0 < memo_counts[name] < plain_counts[name], name
+        assert memo_repeats == 0
         for a, b in zip(memo.traces, plain.traces, strict=True):
             assert np.array_equal(a.samples, b.samples)
             assert np.array_equal(a.log_liks, b.log_liks)
@@ -719,7 +770,7 @@ class TestLeanKernelChains:
         return make_dataset(features, labels, classes)
 
     @pytest.mark.parametrize("classes", [3, 9])
-    def test_chains_match_reference_kernel(self, classes, iris, monkeypatch):
+    def test_chains_match_reference_kernel(self, classes, iris):
         ds = self.dataset(classes, iris)
         topo = NetworkTopology(4, 5, classes)
         cfg = small_config(
@@ -727,12 +778,9 @@ class TestLeanKernelChains:
             surrogate_prob=0.5,
             proposal=ProposalConfig(kind=KIND_LANGEVIN_MIX))
         lean, lean_report = run(cfg, ds, topo)
-        # the two kernels a run calls; BnnPosterior looks them up in bnn
-        monkeypatch.setattr(bnn, "log_likelihood",
-                            _bnn_reference.log_likelihood)
-        monkeypatch.setattr(bnn, "log_likelihood_and_gradient",
-                            reference_pair)
-        reference, reference_report = run(cfg, ds, topo)
+        reference, reference_report = run_target(
+            cfg, ReferencePosterior(topo, ds, cfg.prior),
+            topo.parameter_count)
         assert not lean_report.partial and not reference_report.partial
         for a, b in zip(lean.traces, reference.traces):
             assert np.array_equal(a.samples, b.samples)
