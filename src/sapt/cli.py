@@ -23,8 +23,7 @@ from . import __version__
 from .bnn import NetworkTopology, PriorConfig
 from .data import (DEFAULT_TRAIN_FRACTION, load_csv, load_registry,
                    load_registered, split)
-from .diagnostics import (MODE_PER_SAMPLE, MODE_POSTERIOR_MEAN,
-                          compose_report, emit_posterior, posterior_accuracy,
+from .diagnostics import (compose_report, emit_posterior, posterior_accuracy,
                           write_manifest, write_surrogate_trace)
 from .exceptions import ConfigError, ContractError, DataFormatError
 from .orchestrator import SamplerConfig, run
@@ -35,8 +34,17 @@ RUN_OUTPUTS = ("manifest.txt", "report.txt", "histograms.csv",
                "surrogate_trace.csv", "posterior_p*.csv", "trace_replica*.csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError, so that a
+    bad flag exits 1 with one error: line like every other configuration
+    error; --help and --version still exit 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sapt",
         description="Tempered MCMC sampling for Bayesian neural network "
                     "classification, with an optional surrogate for the "
@@ -95,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Gaussian prior variance on every parameter")
     parser.add_argument("--surrogate-hidden", type=int, nargs=2,
                         default=None, metavar=("H1", "H2"))
-    parser.add_argument("--accuracy-mode",
-                        choices=[MODE_PER_SAMPLE, MODE_POSTERIOR_MEAN],
-                        default=MODE_PER_SAMPLE)
     return parser
 
 
@@ -152,7 +157,6 @@ def _manifest_entries(args, dataset_id, topology, config: SamplerConfig):
         "surrogate_hidden": f"{config.surrogate_hidden[0]} "
                             f"{config.surrogate_hidden[1]}",
         "thin": args.thin,
-        "accuracy_mode": args.accuracy_mode,
     }
 
 
@@ -180,10 +184,14 @@ def _run_command(args) -> int:
     if args.thin < 1:
         raise ConfigError("--thin must be >= 1")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for pattern in RUN_OUTPUTS:
-        for stale in out.glob(pattern):
-            stale.unlink()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for pattern in RUN_OUTPUTS:
+            for stale in out.glob(pattern):
+                stale.unlink()
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {out}: cannot prepare it: {exc}") \
+            from None
     chain, report = run(config, train, topology)
     write_manifest(out / "manifest.txt",
                    _manifest_entries(args, dataset_id, topology, config))
@@ -192,7 +200,7 @@ def _run_command(args) -> int:
         print(f"run failed: {report.failure}", file=sys.stderr)
         return 2
     summary = posterior_accuracy(chain, train, test, topology,
-                                 thin=args.thin, mode=args.accuracy_mode,
+                                 thin=args.thin,
                                  elapsed_seconds=report.elapsed_seconds)
     (out / "report.txt").write_text(compose_report(report, summary))
     emit_posterior(chain, out, thin=args.thin)
@@ -213,9 +221,8 @@ def _run_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run_command(args)
+        return _run_command(build_parser().parse_args(argv))
     except (ConfigError, ContractError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,11 +45,10 @@ class Dataset:
             raise ContractError("features, labels and one-hot row counts differ")
         if self.labels.min() < 0 or self.labels.max() >= k:
             raise ContractError("labels outside 0..K-1")
-        # flat positions of the labels in an (N, K) and a (K, N) array,
-        # built once for the likelihood kernel
-        rows = np.arange(n)
-        object.__setattr__(self, "label_index", rows * k + self.labels)
-        object.__setattr__(self, "class_label_index", self.labels * n + rows)
+        # flat positions of the labels in a class-major (K, N) array, the
+        # layout in which the likelihood pass shifts its outputs at every N
+        object.__setattr__(self, "class_label_index",
+                           self.labels * n + np.arange(n))
 
     @property
     def sample_count(self) -> int:

@@ -13,15 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bnn import (PROB_FLOOR, NetworkTopology, class_probabilities,
-                  predict_accuracy)
-from .exceptions import ConfigError, ContractError
+from .bnn import (PROB_FLOOR, NetworkTopology, forward_batch,
+                  predict_accuracy, softmax)
+from .exceptions import ContractError
 from .orchestrator import PosteriorChain, RunReport, _value
 
 HISTOGRAM_BINS = 50
-
-MODE_PER_SAMPLE = "per_sample"
-MODE_POSTERIOR_MEAN = "posterior_mean"
 
 
 @dataclass(frozen=True)
@@ -84,42 +81,46 @@ class AccuracySummary:
         )
 
 
-def _summed_probabilities(thetas, dataset, topology) -> np.ndarray:
-    """Class probabilities of dataset's rows, summed over thetas."""
-    probs = np.zeros((dataset.sample_count, dataset.class_count))
-    for theta in thetas:
-        probs += class_probabilities(theta, dataset.features, topology)
-    return probs
-
-
-def _accuracy(probs, dataset) -> float:
-    return 100.0 * float(np.mean(probs.argmax(axis=1) == dataset.labels))
+def _accuracy(outputs, dataset) -> float:
+    """Percent of rows whose largest output is at the label, as
+    predict_accuracy counts them."""
+    return 100.0 * float(np.mean(outputs.argmax(axis=1) == dataset.labels))
 
 
 def posterior_accuracy(chain: PosteriorChain, train, test,
                        topology: NetworkTopology, thin: int = 10,
-                       mode: str = MODE_PER_SAMPLE,
                        elapsed_seconds: float = 0.0) -> AccuracySummary:
     """Accuracy statistics of the retained posterior.
 
-    per_sample scores every thinned sample separately and reports
-    mean/std/best over those scores; posterior_mean averages the class
-    probabilities across samples first and scores that single
-    prediction, so mean = best and std = 0. Either way the test split's
-    posterior-mean probabilities are built once, and give the log
-    predictive density (each label probability clamped below at
-    PROB_FLOOR, as the likelihood is), the Brier score and the accuracy
-    of that predictive.
+    Every thinned sample is scored on its own, on both splits, and the
+    summary reports mean/std/best over those per-sample accuracies. One
+    forward pass over the test split per sample gives both its accuracy
+    (the argmax of the outputs) and its class probabilities, which are
+    summed into the posterior-mean predictive. That predictive gives
+    the log predictive density (each label probability clamped below at
+    PROB_FLOOR, as the likelihood is), the Brier score and its own
+    accuracy, test_accuracy_posterior_mean.
     """
-    if mode not in (MODE_PER_SAMPLE, MODE_POSTERIOR_MEAN):
-        raise ConfigError(f"unknown accuracy mode {mode!r}")
     thetas = chain.combined_posterior(thin)
     if thetas.shape[0] == 0:
         raise ContractError("posterior is empty after thinning")
-    test_sum = _summed_probabilities(thetas, test, topology)
+    train_acc = np.array(
+        [predict_accuracy(t, train, topology) for t in thetas])
+    test_acc = np.empty(thetas.shape[0])
+    test_sum = np.zeros((test.sample_count, test.class_count))
+    for k, theta in enumerate(thetas):
+        outputs = forward_batch(theta, test.features, topology)
+        test_acc[k] = _accuracy(outputs, test)
+        test_sum += softmax(outputs)
     test_probs = test_sum / thetas.shape[0]
     picked = test_probs[np.arange(test.sample_count), test.labels]
-    common = dict(
+    return AccuracySummary(
+        train_mean=float(train_acc.mean()),
+        train_std=float(train_acc.std()),
+        train_best=float(train_acc.max()),
+        test_mean=float(test_acc.mean()),
+        test_std=float(test_acc.std()),
+        test_best=float(test_acc.max()),
         elapsed_minutes=elapsed_seconds / 60.0,
         test_log_predictive_density=float(
             np.mean(np.log(np.maximum(picked, PROB_FLOOR)))),
@@ -127,26 +128,6 @@ def posterior_accuracy(chain: PosteriorChain, train, test,
             np.sum((test_probs - test.one_hot) ** 2, axis=1))),
         test_accuracy_posterior_mean=_accuracy(test_sum, test),
     )
-    if mode == MODE_PER_SAMPLE:
-        train_acc = np.array(
-            [predict_accuracy(t, train, topology) for t in thetas])
-        test_acc = np.array(
-            [predict_accuracy(t, test, topology) for t in thetas])
-        return AccuracySummary(
-            train_mean=float(train_acc.mean()),
-            train_std=float(train_acc.std()),
-            train_best=float(train_acc.max()),
-            test_mean=float(test_acc.mean()),
-            test_std=float(test_acc.std()),
-            test_best=float(test_acc.max()),
-            **common,
-        )
-    train_acc = _accuracy(_summed_probabilities(thetas, train, topology),
-                          train)
-    test_acc = common["test_accuracy_posterior_mean"]
-    return AccuracySummary(
-        train_mean=train_acc, train_std=0.0, train_best=train_acc,
-        test_mean=test_acc, test_std=0.0, test_best=test_acc, **common)
 
 
 def compose_report(report: RunReport, summary: AccuracySummary) -> str:

@@ -37,6 +37,13 @@ class TestParser:
         assert exit_info.value.code == 0
         assert sapt.__version__ in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero_through_main(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
+
 
 class TestErrors:
     def test_unknown_dataset_lists_registry(self, capsys):
@@ -78,6 +85,30 @@ class TestErrors:
                         "--out-dir", str(tmp_path / "o"), *extra])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("extra", [
+        ["--replicas", "abc"], ["--proposal", "xx"],
+        ["--surrogate-hidden", "3"], ["--bogus"],
+    ], ids=["bad-int", "bad-choice", "one-surrogate-hidden", "unknown-flag"])
+    def test_bad_flag_is_reported(self, capsys, tmp_path, extra):
+        code = run_cli(["--out-dir", str(tmp_path / "o"), *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_file_as_out_dir_is_reported(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        code = run_cli(["--replicas", "2", "--samples", "40",
+                        "--swap-interval", "10", "--surrogate-interval", "10",
+                        "--out-dir", str(taken)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(taken) in err
+        assert taken.read_text() == "kept\n"
 
     def test_surrogate_prob_one_is_reported(self, capsys, tmp_path):
         code = run_cli(["--surrogate-prob", "1.0", "--replicas", "2",

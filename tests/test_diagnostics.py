@@ -5,12 +5,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sapt.bnn import NetworkTopology, class_probabilities, predict_accuracy
+from sapt import bnn
+from sapt.bnn import NetworkTopology, predict_accuracy
 from sapt.data import make_dataset
 from sapt.diagnostics import (
     HISTOGRAM_BINS,
-    MODE_PER_SAMPLE,
-    MODE_POSTERIOR_MEAN,
     AccuracySummary,
     compose_report,
     emit_posterior,
@@ -18,7 +17,7 @@ from sapt.diagnostics import (
     write_manifest,
     write_surrogate_trace,
 )
-from sapt.exceptions import ConfigError, ContractError
+from sapt.exceptions import ContractError
 from sapt.orchestrator import (PosteriorChain, ReplicaTrace, SamplerConfig,
                                run, run_target)
 from sapt.tempering import ProposalConfig
@@ -83,24 +82,25 @@ class TestPosteriorAccuracy:
         npt.assert_allclose(summary.train_mean, accs.mean(), rtol=1e-12)
         npt.assert_allclose(summary.train_std, accs.std(), rtol=1e-12)
         npt.assert_allclose(summary.train_best, accs.max(), rtol=1e-12)
+        # the test split is scored without predict_accuracy, to its bits
         assert summary.train_mean == summary.test_mean
+        assert summary.train_std == summary.test_std
+        assert summary.train_best == summary.test_best
 
-    def test_posterior_mean_mode(self, bnn_chain, tiny_dataset,
-                                 tiny_topology):
+    def test_one_forward_pass_per_split_and_sample(
+            self, bnn_chain, tiny_dataset, tiny_topology, monkeypatch):
         chain, _ = bnn_chain
-        summary = posterior_accuracy(chain, tiny_dataset, tiny_dataset,
-                                     tiny_topology, thin=5,
-                                     mode=MODE_POSTERIOR_MEAN)
-        assert summary.train_std == 0.0
-        assert summary.train_mean == summary.train_best
-        thetas = chain.combined_posterior(5)
-        probs = np.zeros((tiny_dataset.sample_count,
-                          tiny_dataset.class_count))
-        for t in thetas:
-            probs += class_probabilities(t, tiny_dataset.features,
-                                         tiny_topology)
-        want = 100.0 * np.mean(probs.argmax(axis=1) == tiny_dataset.labels)
-        npt.assert_allclose(summary.train_mean, want, rtol=1e-12)
+        passes = []
+        forward = bnn._forward
+
+        def counted(*args):
+            passes.append(None)
+            return forward(*args)
+
+        monkeypatch.setattr(bnn, "_forward", counted)
+        posterior_accuracy(chain, tiny_dataset, tiny_dataset, tiny_topology,
+                           thin=5)
+        assert len(passes) == 2 * chain.combined_posterior(5).shape[0]
 
     def test_duplicated_chain_mean_invariance(self, bnn_chain, tiny_dataset,
                                               tiny_topology):
@@ -114,8 +114,7 @@ class TestPosteriorAccuracy:
                                tiny_topology, thin=5)
         npt.assert_allclose(a.train_mean, b.train_mean, rtol=1e-12)
 
-    @pytest.mark.parametrize("mode", [MODE_PER_SAMPLE, MODE_POSTERIOR_MEAN])
-    def test_predictive_scores_by_hand(self, mode):
+    def test_predictive_scores_by_hand(self):
         # 1-1-2 network with zero hidden-to-output weights: every row's
         # class probabilities are softmax(del_o), (1/2, 1/2) for one
         # sample and (3/4, 1/4) for the other; their mean is (5/8, 3/8)
@@ -128,8 +127,7 @@ class TestPosteriorAccuracy:
             exploit_start=0, surrogate_steps=np.empty(0, np.int64),
             surrogate_estimates=np.empty(0), surrogate_truths=np.empty(0))
         chain = PosteriorChain(traces=[trace], parameter_count=6)
-        summary = posterior_accuracy(chain, test, test, topology, thin=1,
-                                     mode=mode)
+        summary = posterior_accuracy(chain, test, test, topology, thin=1)
         lpd = (2 * math.log(5 / 8) + math.log(3 / 8)) / 3
         # label 0: (3/8)^2 + (3/8)^2; label 1: (5/8)^2 + (5/8)^2
         brier = (2 * 18 / 64 + 50 / 64) / 3
@@ -154,9 +152,6 @@ class TestPosteriorAccuracy:
 
     def test_errors(self, bnn_chain, tiny_dataset, tiny_topology):
         chain, _ = bnn_chain
-        with pytest.raises(ConfigError):
-            posterior_accuracy(chain, tiny_dataset, tiny_dataset,
-                               tiny_topology, mode="median")
         empty = chain.__class__(traces=[], parameter_count=2)
         with pytest.raises(ContractError):
             posterior_accuracy(empty, tiny_dataset, tiny_dataset,
