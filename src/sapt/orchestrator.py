@@ -29,16 +29,14 @@ The order in which replicas step within a block never touches these
 streams, so a run is reproduced bit for bit by its seed and settings.
 
 A surrogate-path step compares blend's pseudo-likelihood over the values
-the replica's last BLEND_WINDOW steps used (runner.recent). Estimates
-never outlive their purpose. An accepted surrogate-path step leaves its
-estimate as the state's log_lik, which later surrogate-path decisions
-and swaps compare against, and the true value at its theta, measured
-once on acceptance, as log_lik_truth. Before the next true-path decision
-the step engine re-scores log_lik to that stored value without a
-likelihood call. A rejected surrogate-path step makes no call. The
-measurement draws nothing, so every likelihood call is a start value, a
-true-path step or a finite entry of a trace's surrogate_truths; the
-report's likelihood_calls counts all three.
+the replica's last BLEND_WINDOW steps used (runner.recent). The estimate
+decides that one step only: an accepted surrogate-path step measures the
+true value at its theta and stores it as the state's log_lik, so every
+state, swap decision and trace log_lik is a true value. A rejected
+surrogate-path step makes no call. The measurement draws nothing, so
+every likelihood call is a start value, a true-path step or a finite
+entry of a trace's surrogate_truths; the report's likelihood_calls
+counts all three.
 """
 
 from __future__ import annotations
@@ -134,8 +132,7 @@ class ReplicaTrace:
 
     replica: int
     samples: np.ndarray        # steps x parameter_count
-    log_liks: np.ndarray       # state log_lik after each step (an estimate
-                               # while a surrogate-path state is held)
+    log_liks: np.ndarray       # true log_lik of the state after each step
     exploit_start: int
     surrogate_steps: np.ndarray      # step indices that took the surrogate path
     surrogate_estimates: np.ndarray  # blended values used at those steps
@@ -312,11 +309,6 @@ class _ReplicaRunner:
             trace.surrogate_estimates.append(evaluated)
             trace.surrogate_truths.append(math.nan)
         else:
-            held = self.state.log_lik_truth
-            if held is not None:
-                # re-score the held estimate to the truth stored with it
-                self.state = replace(self.state, log_lik=held,
-                                     log_lik_truth=None)
             evaluated = self.target.log_likelihood(proposal)
             self.report.true_evals += 1
             self.report.likelihood_calls += 1
@@ -326,11 +318,11 @@ class _ReplicaRunner:
         self.state = metropolis_step(self.state, proposal, log_q, self.target,
                                      self.rng, proposal_log_lik=evaluated)
         if surrogate_path and self.state.accepted_count > accepted:
-            # the chain keeps the estimate: measure the truth it re-scores to
+            # the chain keeps the proposal, so its state holds the truth
             truth = self.target.log_likelihood(proposal)
             self.report.likelihood_calls += 1
             trace.surrogate_truths[-1] = truth
-            self.state = replace(self.state, log_lik_truth=truth)
+            self.state = replace(self.state, log_lik=truth)
         self.recent.append(evaluated)
         trace.samples[s] = self.state.theta
         trace.log_liks[s] = self.state.log_lik

@@ -128,13 +128,19 @@ class SurrogateModel:
         self.input_count = input_count
         self._rng = np.random.default_rng(seed)
         # (start, stop, shape) of each layer's slice of the flat vector
-        self._layout, start = [], 0
+        layout, start = [], 0
         for shape in ((input_count, hidden1), (hidden1, hidden2),
                       (hidden2, 1), (hidden1,), (hidden2,), (1,)):
-            self._layout.append((start, start + math.prod(shape), shape))
+            layout.append((start, start + math.prod(shape), shape))
             start += math.prod(shape)
         self._params = np.zeros(start)
-        self._views = self._layers()
+        # views (w1, w2, w3, b1, b2, b3) into the flat parameters, each
+        # weight row-major over (fan_in, fan_out); built once, since
+        # _params is only ever updated in place. A pickle or deep copy
+        # turns them into separate arrays that training no longer
+        # updates, so a model is not copied or pickled
+        self._views = tuple(self._params[start:stop].reshape(shape)
+                            for start, stop, shape in layout)
         for w in self._views[:3]:
             w[...] = self._rng.normal(0.0, math.sqrt(2.0 / w.shape[0]),
                                       w.shape)
@@ -143,21 +149,6 @@ class SurrogateModel:
         self.adam_step = 0
         self.train_count = 0
         self.scaler = TargetScaler()
-
-    def _layers(self):
-        """Views (w1, w2, w3, b1, b2, b3) into the flat parameters, in
-        that order; weights are row-major over (fan_in, fan_out). Built
-        once as _views, since _params is only ever updated in place, and
-        left out of pickles, which would copy them apart from _params."""
-        return tuple(self._params[start:stop].reshape(shape)
-                     for start, stop, shape in self._layout)
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_views"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._views = self._layers()
 
     # -- forward ---------------------------------------------------------
 
@@ -203,7 +194,7 @@ class SurrogateModel:
         self._params -= ADAM_STEP_SIZE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def _gradients(self, inputs, scaled_targets):
-        """Flat gradient of the mean cross-entropy, in the _layers layout."""
+        """Flat gradient of the mean cross-entropy, in the _views layout."""
         n = inputs.shape[0]
         _, w2, w3 = self._views[:3]
         z1, a1, z2, a2, out = self._forward(inputs)

@@ -52,13 +52,9 @@ class ReplicaState:
     """Sampler state of one ladder slot.
 
     log_lik and log_prior cache the current theta's values so rejected
-    steps cost nothing; log_lik is stored untempered. log_lik_truth is
-    None while log_lik is the true value. After an accepted
-    surrogate-path step, log_lik is the estimate that decided it and
-    log_lik_truth the finite true value at theta, which the step engine
-    measures then and re-scores log_lik to before the next true-path
-    decision. Swaps move theta and the caches (log_lik_truth included);
-    the slot keeps temperature, phase and accepted_count.
+    steps cost nothing; log_lik is stored untempered. Swaps move theta
+    and the caches; the slot keeps temperature, phase and
+    accepted_count.
     """
 
     theta: np.ndarray
@@ -67,7 +63,6 @@ class ReplicaState:
     log_prior: float
     accepted_count: int = 0
     phase: str = PHASE_TEMPERED
-    log_lik_truth: float | None = None
 
 
 @dataclass(frozen=True)
@@ -200,9 +195,9 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     Evaluates the target's likelihood at the proposal unless a
     precomputed value is passed in (the surrogate path hands over its
     blended estimate that way). On acceptance the returned state
-    carries the proposal, its cached values, accepted_count + 1 and
-    log_lik_truth=None; a rejection returns state itself, so the
-    caller's chain records the previous sample again.
+    carries the proposal, its cached values and accepted_count + 1; a
+    rejection returns state itself, so the caller's chain records the
+    previous sample again.
     A proposal of zero density (log value -inf) is an ordinary
     rejection; a nan from the target or the proposal correction rejects
     and logs a diagnostic.
@@ -248,12 +243,11 @@ def swap_probability(state_i: ReplicaState, state_j: ReplicaState) -> float:
 
 def _cached_values(state: ReplicaState) -> dict:
     return dict(theta=state.theta, log_lik=state.log_lik,
-                log_prior=state.log_prior,
-                log_lik_truth=state.log_lik_truth)
+                log_prior=state.log_prior)
 
 
 def apply_swap(state_i: ReplicaState, state_j: ReplicaState):
-    """Exchange theta and cached values, log_lik_truth included; slots
-    keep temperature, phase and accepted_count."""
+    """Exchange theta and cached values; slots keep temperature, phase
+    and accepted_count."""
     return (replace(state_i, **_cached_values(state_j)),
             replace(state_j, **_cached_values(state_i)))

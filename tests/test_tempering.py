@@ -225,26 +225,6 @@ class TestMetropolisStep:
         assert new.accepted_count == 1
         assert new.log_lik == state.log_lik + 5.0
 
-    def test_estimate_flag_set_and_cleared(self):
-        # a state holding an estimate (log_lik) and its true value
-        target = QuadraticTarget(center=[0.0])
-        held = replace(make_state([0.1], 1.0, target), log_lik=-0.1,
-                       log_lik_truth=-0.25)
-        # a rejection keeps both
-        rejected = metropolis_step(held, np.array([1e4]), 0.0, target,
-                                   np.random.default_rng(23),
-                                   proposal_log_lik=held.log_lik - 1e6)
-        assert rejected.accepted_count == 0
-        assert rejected.log_lik_truth == -0.25
-        # an accept clears the held truth, whether it compared an estimate
-        # (the engine sets the new truth once measured) or a true value
-        for proposal_log_lik in (held.log_lik + 5.0, None):
-            cleared = metropolis_step(held, np.array([0.0]), 0.0, target,
-                                      np.random.default_rng(23),
-                                      proposal_log_lik=proposal_log_lik)
-            assert cleared.accepted_count == 1
-            assert cleared.log_lik_truth is None
-
     def test_nan_exponent_rejects_and_warns(self, caplog):
         class NanTarget(QuadraticTarget):
             def log_likelihood(self, theta):
@@ -332,28 +312,6 @@ class TestSwap:
         assert new_a.temperature == 1.0
         assert new_b.temperature == 2.5
         assert new_a.accepted_count == 5
-
-    def test_apply_swap_moves_estimate_flag(self):
-        target = QuadraticTarget(center=[0.0])
-        a = make_state([1.0], 1.0, target)
-        b = replace(make_state([2.0], 2.0, target), log_lik_truth=-7.5)
-        new_a, new_b = apply_swap(a, b)
-        assert new_a.log_lik_truth is not None and new_a.log_lik_truth == -7.5
-        assert new_b.log_lik_truth is None
-
-    def test_apply_swap_round_trip_carries_held_truth(self):
-        target = QuadraticTarget(center=[0.0])
-        a = replace(make_state([1.0], 1.0, target), log_lik_truth=-3.25)
-        b = make_state([2.0], 2.0, target)
-        new_a, new_b = apply_swap(a, b)
-        npt.assert_array_equal(new_b.theta, a.theta)
-        assert new_b.log_lik_truth == -3.25
-        assert new_a.log_lik_truth is None
-        back_a, back_b = apply_swap(new_a, new_b)
-        npt.assert_array_equal(back_a.theta, a.theta)
-        assert back_a.log_lik_truth == -3.25
-        assert back_b.log_lik_truth is None
-        assert (back_a.temperature, back_b.temperature) == (1.0, 2.0)
 
     def test_apply_swap_involution(self):
         target = QuadraticTarget(center=[0.0, 0.0])
