@@ -15,26 +15,23 @@ and class probabilities come from a softmax over the O outputs.
 The likelihood kernel works in place on its own temporaries. An
 elementwise pass applies one IEEE operation per element, so its order
 does not change a bit; the reductions and the matrix products, whose
-bits depend on layout, keep the plain formulas' layout. The likelihood
-pass copies the (N, O) outputs to a contiguous class-major (O, N) array
-for the exp shift at every N: the copy costs no more than shifting the
-strided view (29.1 against 29.7 us at 90 x 3, 103 against 106 us at
-1023 x 3). The softmax paths, which return the (N, O) layout, shift the
-class-major view out.T. Only the bias add changes layout with the row
+bits depend on layout, keep the plain formulas' layout. Every exp
+shift, in the likelihood pass and in the softmax paths, runs on a
+contiguous class-major (O, N) copy of the (N, O) outputs; the softmax
+paths write the normalized rows back into the outputs. numpy sums a
+last axis shorter than PAIRWISE_SUM_CLASSES elements in sequence and a
+longer one pairwise, so the shift's axis-0 sum keeps the bits of
+np.sum(axis=-1) only below that class count, and sums over the (N, O)
+layout from there. Only the bias add changes layout with the row
 count: from LONG_ROWS data rows on it folds FOLD_ROWS rows into one
-wide row. The shift reduces one class row at a time: the max with
-np.maximum and, below PAIRWISE_SUM_CLASSES, the sum with +=. numpy sums
-a last axis shorter than 8 elements in sequence, so the row adds give
-the bits of np.sum(axis=-1); from 8 elements on it sums pairwise, so
-the kernel keeps that axis sum over the (N, O) layout. The label
-probabilities are read with a flat class-major index that the Dataset
-builds once. The log-likelihood gradient finishes a likelihood pass:
-it normalizes the shifted outputs, writes one_hot - probs into the
-C-contiguous (N, O) outputs, and the backward pass writes each layer's
-gradient into its slice of one new vector. Every function therefore
-returns the same bits as the plain formulas (kept in
-tests/_bnn_reference.py), and a seed gives the same chains whichever
-computed them. BnnPosterior remembers its last three results, with
+wide row. The label probabilities are read with a flat class-major
+index that the Dataset builds once. The log-likelihood gradient
+finishes a likelihood pass: it normalizes the shifted outputs, writes
+one_hot - probs into the C-contiguous (N, O) outputs, and the backward
+pass writes each layer's gradient into its slice of one new vector.
+Every function therefore returns the same bits as the plain formulas
+(kept in tests/_bnn_reference.py), and a seed gives the same chains
+whichever computed them. BnnPosterior remembers its last three results, with
 the gradient or the likelihood pass's activations, for drift steps to
 reuse.
 """
@@ -126,7 +123,7 @@ def pack(w, del_h, v, del_o) -> np.ndarray:
 
 
 # From this many classes on, numpy's last-axis sum is pairwise rather
-# than sequential, and class row adds would change the bits.
+# than sequential, and an axis-0 sum of class rows would change the bits.
 PAIRWISE_SUM_CLASSES = 8
 
 # From this many data rows on, a bias add runs along long contiguous rows:
@@ -138,42 +135,34 @@ FOLD_ROWS = 64
 
 
 def _exp_shifted_inplace(e: np.ndarray):
-    """Overwrite the class-major (classes, rows) e with exp(e - column
-    max); return e and its column sums, one per data row.
+    """Overwrite the contiguous class-major (classes, rows) e with
+    exp(e - column max); return e and its column sums, one per data row.
 
-    The max is taken one class row at a time, and so is the sum below
-    PAIRWISE_SUM_CLASSES classes; both give the bits of the last-axis
-    np.max and np.sum over the (rows, classes) layout.
+    An axis-0 sum adds the class rows in order, which gives the bits
+    of the last-axis np.sum over the (rows, classes) layout below
+    PAIRWISE_SUM_CLASSES classes; from there the sum runs over that
+    layout.
     """
-    classes = e.shape[0]
-    row_max = e[0].copy()
-    for j in range(1, classes):
-        np.maximum(row_max, e[j], out=row_max)
-    e -= row_max
+    e -= np.maximum.reduce(e, axis=0)
     np.exp(e, out=e)
-    if classes >= PAIRWISE_SUM_CLASSES:
+    if e.shape[0] >= PAIRWISE_SUM_CLASSES:
         return e, np.add.reduce(np.ascontiguousarray(e.T), axis=-1)
-    row_sum = e[0].copy()
-    for j in range(1, classes):
-        row_sum += e[j]
-    return e, row_sum
+    return e, np.add.reduce(e, axis=0)
 
 
 def _softmax_inplace(f: np.ndarray) -> np.ndarray:
     """Softmax of each row of the 2-D f, overwriting f."""
-    e, row_sum = _exp_shifted_inplace(f.T)
-    e /= row_sum
+    e, row_sum = _exp_shifted_inplace(f.T.copy())
+    np.divide(e, row_sum, out=f.T)
     return f
 
 
 def softmax(f: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, shifted by the row max for stability.
 
-    The row max is taken one class at a time, and so is the row sum
-    below 8 classes; at 8 or more the sum runs along the axis, which
-    numpy then adds pairwise. Either way the result has the bits of
-    exp(f - max) / sum(exp(f - max)) with numpy's last-axis max and sum,
-    so chains stay bit-identical. f is not modified.
+    The result has the bits of exp(f - max) / sum(exp(f - max)) with
+    numpy's last-axis max and sum, so chains stay bit-identical. f is
+    not modified.
     """
     p = np.array(f, dtype=np.float64)
     _softmax_inplace(p.reshape(-1, p.shape[-1]))
@@ -315,18 +304,23 @@ def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.nd
                      dataset.features, topology)
 
 
-def predict_accuracy(theta: np.ndarray, dataset, topology: NetworkTopology) -> float:
-    """Percent of samples whose most probable class matches the label.
+def output_accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
+    """Percent of rows whose largest entry is at the label.
 
     Ties break toward the lowest class index (argmax convention).
-    Softmax is monotone, so argmax runs on the pre-softmax outputs.
+    Softmax is monotone, so pre-softmax outputs count as their
+    probabilities do.
     """
-    n = dataset.features.shape[0]
-    if n < 1:
+    return 100.0 * float(np.mean(np.argmax(outputs, axis=1) == labels))
+
+
+def predict_accuracy(theta: np.ndarray, dataset, topology: NetworkTopology) -> float:
+    """Percent of samples whose most probable class matches the label,
+    by output_accuracy on the pre-softmax outputs."""
+    if dataset.features.shape[0] < 1:
         raise ContractError("predict_accuracy needs a nonempty dataset")
-    outputs = forward_batch(theta, dataset.features, topology)
-    predicted = np.argmax(outputs, axis=1)
-    return 100.0 * float(np.mean(predicted == dataset.labels))
+    return output_accuracy(forward_batch(theta, dataset.features, topology),
+                           dataset.labels)
 
 
 class BnnPosterior:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .bnn import (PROB_FLOOR, NetworkTopology, forward_batch,
-                  predict_accuracy, softmax)
+                  output_accuracy, predict_accuracy, softmax)
 from .exceptions import ContractError
 from .orchestrator import PosteriorChain, RunReport, _value
 
@@ -81,12 +81,6 @@ class AccuracySummary:
         )
 
 
-def _accuracy(outputs, dataset) -> float:
-    """Percent of rows whose largest output is at the label, as
-    predict_accuracy counts them."""
-    return 100.0 * float(np.mean(outputs.argmax(axis=1) == dataset.labels))
-
-
 def posterior_accuracy(chain: PosteriorChain, train, test,
                        topology: NetworkTopology, thin: int = 10,
                        elapsed_seconds: float = 0.0) -> AccuracySummary:
@@ -110,7 +104,7 @@ def posterior_accuracy(chain: PosteriorChain, train, test,
     test_sum = np.zeros((test.sample_count, test.class_count))
     for k, theta in enumerate(thetas):
         outputs = forward_batch(theta, test.features, topology)
-        test_acc[k] = _accuracy(outputs, test)
+        test_acc[k] = output_accuracy(outputs, test.labels)
         test_sum += softmax(outputs)
     test_probs = test_sum / thetas.shape[0]
     picked = test_probs[np.arange(test.sample_count), test.labels]
@@ -126,7 +120,7 @@ def posterior_accuracy(chain: PosteriorChain, train, test,
             np.mean(np.log(np.maximum(picked, PROB_FLOOR)))),
         test_brier=float(np.mean(
             np.sum((test_probs - test.one_hot) ** 2, axis=1))),
-        test_accuracy_posterior_mean=_accuracy(test_sum, test),
+        test_accuracy_posterior_mean=output_accuracy(test_sum, test.labels),
     )
 
 

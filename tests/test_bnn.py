@@ -496,17 +496,15 @@ class TestLeanKernelBitIdentity:
 
     def test_exp_shift_in_both_layouts(self, classes, rows):
         # a last-bit change in one row sum can vanish in the summed
-        # log-likelihood, so the shift is checked on its own, both on the
-        # class-major view and on the contiguous class-major copy
+        # log-likelihood, so the shift of the contiguous class-major copy
+        # is checked on its own against the (rows, classes) formulas
         for sd in LEAN_SDS:
             theta, ds, topo = lean_case(classes, rows, sd)
             f = ref.forward_batch(theta, ds.features, topo)
             e = np.exp(f - np.max(f, axis=-1, keepdims=True))
-            row_sum = np.sum(e, axis=-1)
-            for class_major in (f.copy().T, f.T.copy()):
-                got, got_sum = bnn._exp_shifted_inplace(class_major)
-                assert np.array_equal(got, e.T)
-                assert np.array_equal(got_sum, row_sum)
+            got, got_sum = bnn._exp_shifted_inplace(f.T.copy())
+            assert np.array_equal(got, e.T)
+            assert np.array_equal(got_sum, np.sum(e, axis=-1))
 
     def test_softmax_three_dimensional(self, classes, rows):
         theta, ds, topo = lean_case(classes, rows, 5.0)

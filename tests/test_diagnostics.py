@@ -33,8 +33,7 @@ SURROGATE_FIGURES = ("surrogate_train_rmse_mean_scaled",
 @pytest.fixture(scope="module")
 def bnn_chain(tiny_dataset, tiny_topology):
     cfg = SamplerConfig(replica_count=2, total_samples=400, swap_interval=10,
-                        surrogate_interval=10, max_temp=3.0, base_seed=4,
-                        sequential_mode=True)
+                        surrogate_interval=10, max_temp=3.0, base_seed=4)
     chain, report = run(cfg, tiny_dataset, tiny_topology)
     return chain, report
 
@@ -43,7 +42,7 @@ def bnn_chain(tiny_dataset, tiny_topology):
 def surrogate_chain():
     cfg = SamplerConfig(replica_count=2, total_samples=800, swap_interval=20,
                         surrogate_interval=40, surrogate_prob=0.5,
-                        max_temp=3.0, base_seed=6, sequential_mode=True)
+                        max_temp=3.0, base_seed=6)
     return run_target(cfg, QuadraticTarget(center=[0.5, -0.5]), 2)
 
 

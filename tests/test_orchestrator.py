@@ -86,8 +86,7 @@ def record_decisions(monkeypatch) -> dict:
 
 def small_config(**kw):
     base = dict(replica_count=3, total_samples=600, swap_interval=20,
-                surrogate_interval=20, max_temp=4.0, base_seed=42,
-                sequential_mode=True)
+                surrogate_interval=20, max_temp=4.0, base_seed=42)
     base.update(kw)
     return SamplerConfig(**base)
 
@@ -338,14 +337,15 @@ class TestDeterminism:
     def test_parallel_matches_sequential(self):
         self.check_sequential_mode_changes_nothing(
             small_config(total_samples=360, swap_interval=10,
-                         surrogate_interval=10))
+                         surrogate_interval=10, sequential_mode=True))
 
     def test_parallel_matches_sequential_with_surrogate(self):
         # a surrogate run steps both paths and refits
         report = self.check_sequential_mode_changes_nothing(
             small_config(total_samples=360, swap_interval=10,
-                         surrogate_interval=20, surrogate_prob=0.5))
-        assert report.surrogate_evals > 0
+                         surrogate_interval=20, surrogate_prob=0.5,
+                         sequential_mode=True))
+        assert report.surrogate_evals > 0 and report.train_rmse
 
 
 class TestSurrogatePath:
