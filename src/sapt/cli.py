@@ -101,20 +101,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--prior-var", type=float,
                         default=PriorConfig.sigma_sq,
                         help="Gaussian prior variance on every parameter")
-    parser.add_argument("--surrogate-hidden", type=int, nargs=2,
-                        default=None, metavar=("H1", "H2"))
     return parser
 
 
 def _resolve_dataset(args):
-    """-> (dataset_id, topology, surrogate_hidden, train, test)."""
+    """-> (dataset_id, topology, train, test)."""
     registry = load_registry()
     path = Path(args.dataset)
     if args.dataset in registry:
         entry, train, test = load_registered(
             args.dataset, args.train_fraction, seed=args.seed)
         hidden = entry.hidden_units if args.hidden is None else args.hidden
-        surrogate_hidden = entry.surrogate_hidden
     elif not path.is_file():
         raise ConfigError(
             f"{args.dataset!r} is neither a registered dataset "
@@ -124,11 +121,9 @@ def _resolve_dataset(args):
     else:
         train, test = split(load_csv(path, name=path.stem),
                             args.train_fraction, seed=args.seed)
-        hidden, surrogate_hidden = args.hidden, SamplerConfig.surrogate_hidden
-    if args.surrogate_hidden:
-        surrogate_hidden = tuple(args.surrogate_hidden)
+        hidden = args.hidden
     topology = NetworkTopology(train.feature_count, hidden, train.class_count)
-    return str(path), topology, surrogate_hidden, train, test
+    return str(path), topology, train, test
 
 
 def _manifest_entries(args, dataset_id, topology, config: SamplerConfig):
@@ -154,15 +149,12 @@ def _manifest_entries(args, dataset_id, topology, config: SamplerConfig):
         "lg_prob": f"{config.proposal.lg_prob:.17g}",
         "prior_sigma_sq": f"{config.prior.sigma_sq:.17g}",
         "base_seed": config.base_seed,
-        "surrogate_hidden": f"{config.surrogate_hidden[0]} "
-                            f"{config.surrogate_hidden[1]}",
         "thin": args.thin,
     }
 
 
 def _run_command(args) -> int:
-    dataset_id, topology, surrogate_hidden, train, test = \
-        _resolve_dataset(args)
+    dataset_id, topology, train, test = _resolve_dataset(args)
     config = SamplerConfig(
         replica_count=args.replicas,
         total_samples=args.samples,
@@ -179,7 +171,6 @@ def _run_command(args) -> int:
         ),
         prior=PriorConfig(sigma_sq=args.prior_var),
         base_seed=args.seed,
-        surrogate_hidden=surrogate_hidden,
     )
     if args.thin < 1:
         raise ConfigError("--thin must be >= 1")

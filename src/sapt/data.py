@@ -209,7 +209,11 @@ def split(dataset: Dataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """Per-dataset shape and model sizing, read from the registry file."""
+    """Per-dataset shape and model sizing, read from the registry file.
+
+    surrogate_hidden is read and ignored: the surrogate is a linear
+    ridge fit with no hidden layers.
+    """
 
     name: str
     attribute_count: int

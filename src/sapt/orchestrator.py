@@ -22,8 +22,8 @@ Determinism contract:
 * swap decisions come from default_rng(base_seed + replica_count); one
   uniform per considered pair, ascending order, and a pair is skipped
   (no draw) when its lower member just swapped.
-* the surrogate's init and shuffles use
-  default_rng(base_seed + replica_count + 1) via its own generator.
+
+The surrogate's closed-form refits draw nothing.
 
 The order in which replicas step within a block never touches these
 streams, so a run is reproduced bit for bit by its seed and settings.
@@ -73,6 +73,8 @@ class SamplerConfig:
 
     sequential_mode is accepted and ignored: every run steps all
     replicas in one process, and the chains do not depend on it.
+    surrogate_hidden is accepted, validated and ignored: the surrogate
+    is a linear ridge fit with no hidden layers.
     """
 
     replica_count: int = 10
@@ -193,7 +195,8 @@ class RunReport:
     swap_attempts: int = 0
     swap_accepts: int = 0
     replica_acceptance: list = field(default_factory=list)
-    train_rmse: list = field(default_factory=list)  # scaled units, per refit
+    # per refit: the window's RMSE over its target range
+    train_rmse: list = field(default_factory=list)
     # each refit's surrogate interval, counted from 1; an interval that
     # staged no true-likelihood rows has no refit
     refit_intervals: list = field(default_factory=list)
@@ -348,12 +351,10 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
     Counters, swaps and refit RMSEs go into report as they happen, the
     acceptance and prediction RMSE when sampling stops, failed or not.
     """
-    seed = config.base_seed + config.replica_count
-    swap_rng = np.random.default_rng(seed)
+    swap_rng = np.random.default_rng(config.base_seed + config.replica_count)
     surrogate = None
     if config.surrogate_prob > 0:
-        surrogate = SurrogateModel(parameter_count, *config.surrogate_hidden,
-                                   seed=seed + 1)
+        surrogate = SurrogateModel(parameter_count)
     ladder = build_ladder(config.replica_count, config.max_temp)
     steps = config.steps_per_replica
     runners = [

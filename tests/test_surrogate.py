@@ -1,3 +1,4 @@
+import warnings
 from collections import deque
 
 import numpy as np
@@ -10,12 +11,9 @@ from sapt.surrogate import (
     BLEND_WINDOW,
     SurrogateBatch,
     SurrogateModel,
-    TargetScaler,
     blend,
     surrogate_rmse,
 )
-
-import _surrogate_reference
 
 
 def batch_from(fn, thetas):
@@ -26,41 +24,6 @@ def batch_from(fn, thetas):
 
 def sphere(theta):
     return -float(theta @ theta)
-
-
-class TestTargetScaler:
-    def test_bounds_only_widen(self):
-        s = TargetScaler()
-        assert not s.seen
-        s.update([-5.0, -2.0])
-        assert (s.lo, s.hi) == (-5.0, -2.0)
-        s.update([-3.0])
-        assert (s.lo, s.hi) == (-5.0, -2.0)
-        s.update([-10.0, 1.0])
-        assert (s.lo, s.hi) == (-10.0, 1.0)
-
-    def test_scale_and_inverse_roundtrip(self):
-        s = TargetScaler()
-        s.update([-20.0, 0.0])
-        vals = np.array([-20.0, -10.0, 0.0])
-        npt.assert_allclose(s.scale(vals), [0.0, 0.5, 1.0], atol=1e-15)
-        npt.assert_allclose(s.inverse(s.scale(vals)), vals, atol=1e-12)
-
-    def test_degenerate_single_value(self):
-        s = TargetScaler()
-        s.update([-7.0])
-        assert s.seen and not s.ready
-        npt.assert_array_equal(s.scale([-7.0, -7.0]), [0.5, 0.5])
-        assert s.inverse(0.5) == -7.0
-
-    def test_errors(self):
-        s = TargetScaler()
-        with pytest.raises(ContractError):
-            s.scale([1.0])
-        with pytest.raises(ContractError):
-            s.update([np.nan])
-        s.update([])  # no-op, still unseen
-        assert not s.seen
 
 
 class TestSurrogateBatch:
@@ -78,109 +41,130 @@ class TestSurrogateBatch:
             SurrogateBatch(np.zeros((1, 2)), np.array([np.inf]))
 
 
+def window_batches(count, rows=30, dim=5, seed=0):
+    """count batches of a random walk in dim, scored by sphere."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(0.0, 0.1, (count * rows, dim)), axis=0)
+    return [batch_from(sphere, walk[k * rows:(k + 1) * rows])
+            for k in range(count)]
+
+
 class TestSurrogateModel:
     def test_predict_before_training_is_error(self):
         model = SurrogateModel(4, seed=0)
         with pytest.raises(ContractError):
             model.predict(np.zeros(4))
 
-    def test_predict_scaled_shape_error(self):
-        model = SurrogateModel(4, seed=0)
+    @pytest.mark.parametrize("theta", [np.zeros(5), np.zeros(3),
+                                       np.zeros((1, 4))],
+                             ids=["too-long", "too-short", "row-matrix"])
+    def test_predict_rejects_wrong_width(self, theta):
+        model = SurrogateModel(4)
+        model.train(batch_from(sphere, np.eye(4)))
         with pytest.raises(ContractError):
-            model.predict_scaled(np.zeros((2, 5)))
+            model.predict(theta)
+
+    def test_train_rejects_wrong_width(self):
+        model = SurrogateModel(4)
+        with pytest.raises(ContractError):
+            model.train(batch_from(sphere, np.eye(5)))
+        assert model.train_count == 0
 
     def test_train_rejects_empty_batch(self):
         model = SurrogateModel(2, seed=0)
         with pytest.raises(ContractError):
             model.train(SurrogateBatch(np.empty((0, 2)), np.empty(0)))
 
-    def test_constant_target_converges(self, monkeypatch):
-        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 5)
+    def test_recovers_affine_target(self):
+        """On a design whose centred columns are orthogonal with equal
+        norms, the ridge slope is the true slope shrunk by exactly
+        1 / (1 + RIDGE_PENALTY); the fit recovers it to round-off."""
+        dim = 6
+        center = np.linspace(-1.0, 2.0, dim)
+        design = center + 0.3 * np.concatenate((np.eye(dim), -np.eye(dim)))
+        slope = np.array([3.0, -1.5, 0.25, 8.0, -4.0, 0.5])
+
+        def affine(theta):
+            return -120.0 + float(theta @ slope)
+
+        model = SurrogateModel(dim)
+        rmse = model.train(batch_from(affine, design))
+        shrunk = slope / (1.0 + surrogate.RIDGE_PENALTY)
+        for theta in np.random.default_rng(1).normal(size=(20, dim)):
+            want = affine(center) + (theta - center) @ shrunk
+            npt.assert_allclose(model.predict(theta), want, rtol=1e-13)
+        # the residual left is the shrinkage, a small share of the range
+        assert 0 < rmse < 2 * surrogate.RIDGE_PENALTY
+
+    def test_matches_augmented_least_squares(self):
+        """The fit is the centred ridge solution: the same slope as a
+        least-squares solve of the centred rows stacked on sqrt(penalty)
+        times the identity."""
+        batches = window_batches(3, dim=5, seed=4)
+        model = SurrogateModel(5)
+        for b in batches:
+            model.train(b)
+        inputs = np.concatenate([b.inputs for b in batches])
+        targets = np.concatenate([b.targets for b in batches])
+        x = inputs - inputs.mean(axis=0)
+        y = targets - targets.mean()
+        penalty = surrogate.RIDGE_PENALTY * np.mean(np.sum(x * x, axis=0))
+        stacked = np.vstack((x, np.sqrt(penalty) * np.eye(5)))
+        slope = np.linalg.lstsq(stacked, np.concatenate((y, np.zeros(5))),
+                                rcond=None)[0]
+        theta = inputs[-1] + 0.05
+        want = targets.mean() + (theta - inputs.mean(axis=0)) @ slope
+        npt.assert_allclose(model.predict(theta), want, rtol=1e-10)
+
+    def test_batch_leaves_window_after_six_refits(self):
+        assert surrogate.REFIT_WINDOW == 6
+        later = window_batches(6, seed=2)
+        first = [window_batches(1, seed=seed)[0] for seed in (7, 8)]
+        models = [SurrogateModel(5), SurrogateModel(5)]
+        held = np.random.default_rng(3).normal(size=(10, 5))
+        for model, batch in zip(models, first):
+            model.train(batch)
+        for k, batch in enumerate(later, start=1):
+            for model in models:
+                model.train(batch)
+            a, b = ([m.predict(t) for t in held] for m in models)
+            # the first batches differ, so predictions do until the
+            # sixth later refit pushes them out of the window
+            assert (a == b) == (k == 6), k
+
+    def test_constant_target_converges(self):
         rng = np.random.default_rng(3)
-        thetas = rng.normal(size=(64, 5))
-        model = SurrogateModel(5, hidden1=16, hidden2=8, seed=1)
-        b = SurrogateBatch(thetas, np.full(64, -40.0))
-        model.train(b)
-        # degenerate scaler pins every prediction to the single seen value
+        model = SurrogateModel(5, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rmse = model.train(SurrogateBatch(rng.normal(size=(64, 5)),
+                                              np.full(64, -40.0)))
+        # equal targets fit a zero slope: every prediction is that value
+        assert rmse == 0.0
         assert model.predict(rng.normal(size=5)) == -40.0
 
-    def test_loss_decreases_on_single_row(self, monkeypatch):
-        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 40)
+    def test_identical_rows_predict_mean(self):
         rng = np.random.default_rng(5)
-        model = SurrogateModel(3, hidden1=8, hidden2=4, seed=2)
-        anchor = batch_from(sphere, rng.normal(size=(2, 3)))
-        model.scaler.update(anchor.targets)
-        row = batch_from(sphere, anchor.inputs[:1])
+        targets = rng.normal(-40.0, 3.0, 40)
+        model = SurrogateModel(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rmse = model.train(SurrogateBatch(
+                np.tile(rng.normal(size=5), (40, 1)), targets))
+            got = [model.predict(t) for t in rng.normal(size=(10, 5))]
+        npt.assert_allclose(got, targets.mean(), rtol=1e-14)
+        assert rmse == pytest.approx(targets.std() / np.ptp(targets))
 
-        def bce():
-            y = model.scaler.scale(row.targets)
-            p = np.clip(model.predict_scaled(row.inputs), 1e-12, 1.0 - 1e-12)
-            return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-        before = bce()
-        model.train(row)
-        assert bce() < before
-
-    def test_learns_smooth_map(self, monkeypatch):
-        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 20)
-        rng = np.random.default_rng(7)
-        train_thetas = rng.normal(size=(600, 6))
-        model = SurrogateModel(6, hidden1=32, hidden2=16, seed=3)
-        rmse = None
-        for _ in range(5):
-            rmse = model.train(batch_from(sphere, train_thetas))
-        assert rmse < 0.08
-        held = rng.normal(size=(100, 6))
-        got = np.array([model.predict(t) for t in held])
-        want = np.array([sphere(t) for t in held])
-        corr = np.corrcoef(got, want)[0, 1]
-        assert corr > 0.9
-        assert model.train_count == 5
-
-    def test_training_is_seeded(self, monkeypatch):
-        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 3)
-        rng = np.random.default_rng(9)
-        thetas = rng.normal(size=(50, 4))
+    def test_same_batches_same_bits(self):
+        batches = window_batches(8, seed=9)
+        held = np.random.default_rng(10).normal(size=(10, 5))
         runs = []
-        for _ in range(2):
-            model = SurrogateModel(4, hidden1=8, hidden2=4, seed=11)
-            model.train(batch_from(sphere, thetas))
-            runs.append(model.predict_scaled(thetas))
-        npt.assert_array_equal(runs[0], runs[1])
-
-    def test_adam_defaults(self):
-        assert (surrogate.ADAM_STEP_SIZE, surrogate.ADAM_BETA1,
-                surrogate.ADAM_BETA2, surrogate.ADAM_EPS) == \
-            (1e-3, 0.9, 0.999, 1e-8)
-        assert (surrogate.TRAIN_EPOCHS, surrogate.TRAIN_BATCH_SIZE) == \
-            (10, 32)
-
-
-class TestFlatModelMatchesReference:
-    """The flat-vector model gives the same bits as the frozen per-layer
-    reference: same initial draws, same gradients in the same layout,
-    same Adam arithmetic per element."""
-
-    # 45 rows leave a last mini-batch of 13; one row is a batch of one
-    @pytest.mark.parametrize("rows", [1, 45, 64])
-    def test_predictions_equal_after_training(self, rows, monkeypatch):
-        monkeypatch.setattr(surrogate, "TRAIN_EPOCHS", 3)
-        rng = np.random.default_rng(rows)
-        thetas = rng.normal(size=(rows, 6))
-        held = rng.normal(size=(20, 6))
-        flat = SurrogateModel(6, hidden1=16, hidden2=8, seed=4)
-        ref = _surrogate_reference.SurrogateModel(6, hidden1=16, hidden2=8,
-                                                  seed=4)
-        assert np.array_equal(flat.predict_scaled(held),
-                              ref.predict_scaled(held))
-        for fit in range(1, 4):
-            batch = batch_from(sphere, thetas + 0.1 * fit)
-            assert flat.train(batch) == ref.train(batch, epochs=3)
-            if fit in (1, 3):
-                assert np.array_equal(flat.predict_scaled(held),
-                                      ref.predict_scaled(held))
-                assert flat.predict(held[0]) == ref.predict(held[0])
-        assert flat.adam_step == ref.adam_step
+        for seed in (11, 12):
+            model = SurrogateModel(5, seed=seed)
+            rmses = [model.train(b) for b in batches]
+            runs.append((rmses, [model.predict(t) for t in held]))
+        assert runs[0] == runs[1]
+        assert model.train_count == 8
 
 
 class TestHistoryAndBlend:
