@@ -117,11 +117,6 @@ def unpack(theta: np.ndarray, topology: NetworkTopology):
     return _views(check_theta(theta, topology), topology)
 
 
-def pack(w, del_h, v, del_o) -> np.ndarray:
-    """Inverse of unpack: flatten layer arrays back into one vector."""
-    return np.concatenate((w, del_h, v, del_o), axis=None, dtype=np.float64)
-
-
 # From this many classes on, numpy's last-axis sum is pairwise rather
 # than sequential, and an axis-0 sum of class rows would change the bits.
 PAIRWISE_SUM_CLASSES = 8

@@ -45,6 +45,10 @@ class Dataset:
             raise ContractError("features, labels and one-hot row counts differ")
         if self.labels.min() < 0 or self.labels.max() >= k:
             raise ContractError("labels outside 0..K-1")
+        # the likelihood reads labels, its gradient and the Brier score
+        # read one_hot, so the two must describe the same classes
+        if not np.array_equal(self.one_hot, one_hot(self.labels, k)):
+            raise ContractError("one-hot rows are not the labels' indicators")
         # flat positions of the labels in a class-major (K, N) array, the
         # layout in which the likelihood pass shifts its outputs at every N
         object.__setattr__(self, "class_label_index",

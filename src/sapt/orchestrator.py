@@ -26,7 +26,12 @@ Determinism contract:
 The surrogate's closed-form refits draw nothing.
 
 The order in which replicas step within a block never touches these
-streams, so a run is reproduced bit for bit by its seed and settings.
+streams, so a run is reproduced bit for bit by its seed and settings
+with the same numpy and BLAS library. With the surrogate on, the BLAS
+thread count must match too: the refits' products and solve may round
+differently across thread counts. The chains were equal at 1 and 2
+BLAS threads in every run checked, but nothing guarantees it: a
+shifted estimate can flip an accept decision.
 
 A surrogate-path step compares blend's pseudo-likelihood over the values
 the replica's last BLEND_WINDOW steps used (runner.recent). The estimate
@@ -294,9 +299,8 @@ class _ReplicaRunner:
 
     def _one_step(self) -> None:
         s, trace = self.step, self.trace
-        if s >= trace.exploit_start and self.state.phase == PHASE_TEMPERED:
-            self.state = replace(self.state, temperature=1.0,
-                                 phase=PHASE_EXPLOIT)
+        if s == trace.exploit_start:
+            self.state = replace(self.state, temperature=1.0)
         s_prob = self.config.surrogate_prob
         # kappa is drawn only when the surrogate is on; 1.0 never passes
         kappa = self.rng.uniform() if s_prob > 0 else 1.0
@@ -359,7 +363,7 @@ def _sample(config: SamplerConfig, target, parameter_count: int,
     steps = config.steps_per_replica
     runners = [
         _ReplicaRunner(i, config, target, parameter_count,
-                       float(ladder.temps[i]), surrogate, report)
+                       float(ladder[i]), surrogate, report)
         for i in range(config.replica_count)
     ]
     skipped = 0     # surrogate intervals that staged no rows

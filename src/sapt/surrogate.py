@@ -51,12 +51,9 @@ RIDGE_PENALTY = 1e-3
 
 class SurrogateModel:
     """Ridge regression of the log-likelihood on theta over the rows of
-    the last REFIT_WINDOW train() calls.
+    the last REFIT_WINDOW train() calls."""
 
-    seed is accepted and ignored: the fit draws nothing.
-    """
-
-    def __init__(self, input_count: int, seed: int = 0):
+    def __init__(self, input_count: int):
         if input_count < 1:
             raise ContractError("surrogate input count must be >= 1")
         self.input_count = input_count
@@ -106,11 +103,10 @@ class SurrogateModel:
         self._offset = float(targets[0] + y_mean
                              - (inputs[0] + x_mean) @ self._slope)
         self.train_count += 1
-        spread = targets.max() - targets.min()
+        spread = float(targets.max() - targets.min())
         if spread == 0:
             return 0.0
-        residual = x @ self._slope - y
-        return float(np.sqrt(np.mean(residual ** 2)) / spread)
+        return surrogate_rmse(y, x @ self._slope) / spread
 
 
 BLEND_WINDOW = 3

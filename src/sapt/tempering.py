@@ -25,12 +25,7 @@ PHASE_TEMPERED = "tempered"
 PHASE_EXPLOIT = "exploit"
 
 
-@dataclass(frozen=True)
-class TemperatureLadder:
-    temps: np.ndarray
-
-
-def build_ladder(replica_count: int, max_temp: float) -> TemperatureLadder:
+def build_ladder(replica_count: int, max_temp: float) -> np.ndarray:
     """Geometric temperature ladder from 1.0 up to max_temp.
 
     temps[i] = max_temp ** (i / (replica_count - 1)); both endpoints are
@@ -44,7 +39,7 @@ def build_ladder(replica_count: int, max_temp: float) -> TemperatureLadder:
     temps = float(max_temp) ** exponents
     temps[0] = 1.0
     temps[-1] = float(max_temp)
-    return TemperatureLadder(temps=temps)
+    return temps
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,7 @@ class ReplicaState:
 
     log_lik and log_prior cache the current theta's values so rejected
     steps cost nothing; log_lik is stored untempered. Swaps move theta
-    and the caches; the slot keeps temperature, phase and
-    accepted_count.
+    and the caches; the slot keeps temperature and accepted_count.
     """
 
     theta: np.ndarray
@@ -62,7 +56,6 @@ class ReplicaState:
     log_lik: float
     log_prior: float
     accepted_count: int = 0
-    phase: str = PHASE_TEMPERED
 
 
 @dataclass(frozen=True)
@@ -141,8 +134,6 @@ def propose_langevin(theta: np.ndarray, target, config: ProposalConfig, rng,
     must expose log_likelihood_gradient and log_prior_gradient; no
     likelihood value is computed here.
     """
-    if config.lg_learning_rate <= 0:
-        raise ContractError("lg_learning_rate must be positive")
     step = config.lg_learning_rate
     noise_sd = math.sqrt(2.0 * step)
     grad = energy_gradient(theta, target, temperature)
@@ -189,21 +180,19 @@ def acceptance_probability(delta_log_lik: float, temperature: float,
 
 def metropolis_step(state: ReplicaState, proposal: np.ndarray,
                     log_q_ratio: float, target, rng,
-                    proposal_log_lik: float | None = None) -> ReplicaState:
+                    proposal_log_lik: float) -> ReplicaState:
     """One tempered accept/reject decision for a replica.
 
-    Evaluates the target's likelihood at the proposal unless a
-    precomputed value is passed in (the surrogate path hands over its
-    blended estimate that way). On acceptance the returned state
-    carries the proposal, its cached values and accepted_count + 1; a
-    rejection returns state itself, so the caller's chain records the
-    previous sample again.
+    proposal_log_lik is the caller's value at the proposal, true or a
+    surrogate estimate; only the target's prior is evaluated here. On
+    acceptance the returned state carries the proposal, its cached
+    values and accepted_count + 1; a rejection returns state itself, so
+    the caller's chain records the previous sample again.
     A proposal of zero density (log value -inf) is an ordinary
-    rejection; a nan from the target or the proposal correction rejects
+    rejection; a nan likelihood, prior or proposal correction rejects
     and logs a diagnostic.
     """
-    prop_ll = float(proposal_log_lik) if proposal_log_lik is not None \
-        else target.log_likelihood(proposal)
+    prop_ll = float(proposal_log_lik)
     prop_lp = target.log_prior(proposal)
     prob = acceptance_probability(prop_ll - state.log_lik, state.temperature,
                                   prop_lp - state.log_prior, log_q_ratio)
@@ -219,8 +208,7 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     if accept:
         return ReplicaState(theta=proposal, temperature=state.temperature,
                             log_lik=prop_ll, log_prior=prop_lp,
-                            accepted_count=state.accepted_count + 1,
-                            phase=state.phase)
+                            accepted_count=state.accepted_count + 1)
     return state
 
 
@@ -247,7 +235,7 @@ def _cached_values(state: ReplicaState) -> dict:
 
 
 def apply_swap(state_i: ReplicaState, state_j: ReplicaState):
-    """Exchange theta and cached values; slots keep temperature, phase
-    and accepted_count."""
+    """Exchange theta and cached values; slots keep temperature and
+    accepted_count."""
     return (replace(state_i, **_cached_values(state_j)),
             replace(state_j, **_cached_values(state_i)))

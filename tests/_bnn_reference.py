@@ -7,7 +7,7 @@ stay identical for a given seed. Do not edit them to follow bnn.py.
 """
 import numpy as np
 
-from sapt.bnn import PROB_FLOOR, pack, unpack
+from sapt.bnn import PROB_FLOOR, unpack
 
 
 def _sigmoid(x):
@@ -49,7 +49,8 @@ def _backprop(theta, dataset, topology, d_out_of):
     d_pre = (d_out @ v.T) * hidden * (1.0 - hidden)
     g_w = features.T @ d_pre
     g_del_h = d_pre.sum(axis=0)
-    return pack(g_w, g_del_h, g_v, g_del_o)
+    return np.concatenate((g_w, g_del_h, g_v, g_del_o), axis=None,
+                          dtype=np.float64)
 
 
 def log_likelihood_gradient(theta, dataset, topology):

@@ -26,8 +26,6 @@ from sapt.orchestrator import (
 from sapt.surrogate import SurrogateBatch, SurrogateModel, surrogate_rmse
 from sapt.tempering import (
     KIND_LANGEVIN_MIX,
-    PHASE_EXPLOIT,
-    PHASE_TEMPERED,
     ProposalConfig,
     ReplicaState,
     acceptance_probability,
@@ -58,7 +56,7 @@ def dataset_accuracy(name, proposal, surrogate_prob):
         config = SamplerConfig(replica_count=4, total_samples=8000,
                                proposal=proposal,
                                surrogate_prob=surrogate_prob,
-                               sequential_mode=True, base_seed=seed)
+                               base_seed=seed)
         start = time.perf_counter()
         chain, report = run(config, train, entry.topology())
         elapsed += time.perf_counter() - start
@@ -91,8 +89,7 @@ def test_criterion_2_cancer_surrogate_accuracy():
 def test_criterion_3_evaluation_savings():
     config = SamplerConfig(replica_count=4, total_samples=16000,
                            swap_interval=50, surrogate_interval=50,
-                           surrogate_prob=0.5, sequential_mode=True,
-                           base_seed=11)
+                           surrogate_prob=0.5, base_seed=11)
     target = QuadraticTarget(center=[0.3, -0.7, 1.1])
     chain, report = run_target(config, target, 3)
     conserved = report.true_evals + report.surrogate_evals == 16000
@@ -116,7 +113,7 @@ def test_criterion_4_oracle_equivalence():
                            total_samples=replicas * steps,
                            swap_interval=50, surrogate_interval=50,
                            surrogate_prob=0.0, max_temp=5.0,
-                           sequential_mode=True, base_seed=base_seed)
+                           base_seed=base_seed)
     dim = 3
     target = QuadraticTarget(center=[1.0, -1.0, 0.5])
     chain, _ = run_target(config, target, dim)
@@ -130,7 +127,7 @@ def test_criterion_4_oracle_equivalence():
     for i in range(replicas):
         theta0 = rngs[i].normal(0.0, INITIAL_THETA_SD, dim)
         states.append(ReplicaState(
-            theta=theta0, temperature=ladder.temps[i],
+            theta=theta0, temperature=ladder[i],
             log_lik=target.log_likelihood(theta0),
             log_prior=target.log_prior(theta0)))
     exploit_start = int(config.burn_in_fraction * steps)
@@ -140,13 +137,13 @@ def test_criterion_4_oracle_equivalence():
         for i in range(replicas):
             for k in range(config.swap_interval):
                 s = block * config.swap_interval + k
-                if s >= exploit_start and states[i].phase == PHASE_TEMPERED:
-                    states[i] = replace(states[i], temperature=1.0,
-                                        phase=PHASE_EXPLOIT)
+                if s == exploit_start:
+                    states[i] = replace(states[i], temperature=1.0)
                 proposal, log_q = make_proposal(states[i].theta, target,
                                                 config.proposal, rngs[i])
                 states[i] = metropolis_step(states[i], proposal, log_q,
-                                            target, rngs[i])
+                                            target, rngs[i],
+                                            target.log_likelihood(proposal))
                 samples[i].append(states[i].theta)
                 log_liks[i].append(states[i].log_lik)
         states, _ = swap_sweep(states, manager_rng)
@@ -175,7 +172,8 @@ def test_criterion_5_conjugate_gaussian_toy():
     draws = np.empty(total)
     for s in range(total):
         proposal = propose_rw(state.theta, 0.5, rng)
-        state = metropolis_step(state, proposal, 0.0, target, rng)
+        state = metropolis_step(state, proposal, 0.0, target, rng,
+                                target.log_likelihood(proposal))
         draws[s] = state.theta[0]
     kept = draws[burn:]
     mean_err = abs(kept.mean() - want_mean)
@@ -239,7 +237,7 @@ def test_criterion_8_surrogate_sanity():
     # one per replica slot, targets -|theta|^2, every 5th row held out
     dim, walks, rows_per_walk = 99, 4, 50
     rng = np.random.default_rng(606)
-    model = SurrogateModel(dim, seed=707)
+    model = SurrogateModel(dim)
     positions = [rng.normal(0.0, 1.0, dim) for _ in range(walks)]
     train_rmses = []
     held_inputs, held_targets = [], []
@@ -291,8 +289,8 @@ def test_criterion_9_invariant_suite():
 
     # ladder endpoints and constant geometric ratio
     ladder = build_ladder(10, 5.0)
-    ratios = ladder.temps[1:] / ladder.temps[:-1]
-    if ladder.temps[0] != 1.0 or ladder.temps[-1] != 5.0 \
+    ratios = ladder[1:] / ladder[:-1]
+    if ladder[0] != 1.0 or ladder[-1] != 5.0 \
             or not np.allclose(ratios, ratios[0], rtol=1e-12):
         failures.append("ladder endpoints/ratio")
 
@@ -309,8 +307,10 @@ def test_criterion_9_invariant_suite():
     state = ReplicaState(theta=np.array([4.0, 4.0]), temperature=1.0,
                          log_lik=target.log_likelihood(np.array([4.0, 4.0])),
                          log_prior=target.log_prior(np.array([4.0, 4.0])))
-    better = metropolis_step(state, np.array([0.5, 0.5]), 0.0, target,
-                             np.random.default_rng(1))
+    proposal = np.array([0.5, 0.5])
+    better = metropolis_step(state, proposal, 0.0, target,
+                             np.random.default_rng(1),
+                             target.log_likelihood(proposal))
     if better.accepted_count != 1:
         failures.append("improvement accepted at T=1")
 
@@ -327,7 +327,7 @@ def test_criterion_9_invariant_suite():
     # chain-length accounting and deterministic re-runs
     config = SamplerConfig(replica_count=3, total_samples=900,
                            swap_interval=30, surrogate_interval=30,
-                           sequential_mode=True, base_seed=17)
+                           base_seed=17)
     chain_a, _ = run_target(config, target, 2)
     chain_b, _ = run_target(config, target, 2)
     steps_each = config.steps_per_replica

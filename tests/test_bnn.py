@@ -14,11 +14,9 @@ from sapt.bnn import (
     log_likelihood_and_gradient,
     log_prior,
     log_prior_gradient,
-    pack,
     predict_accuracy,
     softmax,
     sse_gradient,
-    unpack,
 )
 from sapt import bnn
 from sapt.data import load_csv, make_dataset, registry_entry, resolve_data_file
@@ -55,12 +53,6 @@ class TestTopology:
         for bad in [(0, 2, 2), (2, 0, 2), (2, 2, 0)]:
             with pytest.raises(Exception):
                 NetworkTopology(*bad)
-
-    def test_pack_unpack_roundtrip(self):
-        rng = np.random.default_rng(3)
-        topo = NetworkTopology(3, 5, 4)
-        theta = rng.normal(size=topo.parameter_count)
-        npt.assert_array_equal(pack(*unpack(theta, topo)), theta)
 
     def test_check_theta_rejects_bad(self):
         with pytest.raises(ContractError):

@@ -53,6 +53,16 @@ class TestDatasetInvariants:
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64),
                     np.zeros((3, 2)))
 
+    def test_rejects_one_hot_that_disagrees_with_labels(self):
+        # the likelihood reads labels and the gradient one_hot: a mismatch
+        # would drift the chain by another likelihood's gradient
+        labels = np.array([0, 1, 1])
+        for bad in (one_hot([0, 1, 0], 2), np.full((3, 2), 0.5),
+                    2.0 * one_hot(labels, 2)):
+            with pytest.raises(ContractError):
+                Dataset(np.zeros((3, 2)), labels, bad)
+        Dataset(np.zeros((3, 2)), labels, one_hot(labels, 2))
+
 
 class TestCsvRoundTrip:
     def test_load_and_save(self, tmp_path):

@@ -133,7 +133,7 @@ class TestSwapSweep:
     def test_accepted_swap_exchanges_neighbors(self):
         # the exchange exponent (1/T_j - 1/T_i)(L_j - L_i) is positive
         # exactly when the hotter slot holds the lower value
-        temps = build_ladder(3, 4.0).temps
+        temps = build_ladder(3, 4.0)
         states = self.states_at([-1.0, -50.0, -60.0], temps)
         swapped, mask = swap_sweep(states, np.random.default_rng(0))
         assert mask[0]
@@ -143,7 +143,7 @@ class TestSwapSweep:
 
     def test_pair_exclusivity(self):
         # after pair (i, i+1) swaps, pair (i+1, i+2) sits out the sweep
-        temps = build_ladder(4, 4.0).temps
+        temps = build_ladder(4, 4.0)
         states = self.states_at([-1.0, -50.0, -2.0, -3.0], temps)
         _, mask = swap_sweep(states, np.random.default_rng(1))
         assert mask.shape == (3,)
@@ -158,7 +158,7 @@ class TestSwapSweep:
         assert not mask[1]
 
     def test_single_pair_statistics(self):
-        temps = build_ladder(2, 2.0).temps
+        temps = build_ladder(2, 2.0)
         rng = np.random.default_rng(3)
         hits = 0
         trials = 20000
@@ -291,6 +291,27 @@ class TestRunBasics:
                     "swap_attempts",
                     "swap_accepts", "partial false"]:
             assert key in text
+
+
+class TestTemperatureSchedule:
+    @pytest.mark.parametrize("burn_in_fraction, exploit_start",
+                             [(0.5, 100), (0.33, 66), (0.004, 0)])
+    def test_slot_temperature_at_every_step(self, monkeypatch,
+                                            burn_in_fraction, exploit_start):
+        """Slot i steps at build_ladder(...)[i] before exploit_start and
+        at 1 from there on, whatever the swaps move; 66 falls inside a
+        swap block, and exploit_start 0 leaves no tempered step."""
+        decisions = record_decisions(monkeypatch)
+        cfg = small_config(burn_in_fraction=burn_in_fraction)
+        chain, _ = run_target(cfg, quad_target(), DIM)
+        ladder = build_ladder(cfg.replica_count, cfg.max_temp)
+        assert len(decisions) == cfg.replica_count
+        for i, (slot, trace) in enumerate(zip(decisions.values(),
+                                              chain.traces)):
+            assert trace.exploit_start == exploit_start
+            exploit_steps = trace.steps - exploit_start
+            assert [d.before.temperature for d in slot] \
+                == [ladder[i]] * exploit_start + [1.0] * exploit_steps
 
 
 class TestDeterminism:
@@ -667,8 +688,7 @@ class TestBnnRun:
         entry, train, _ = load_registered("cancer", 0.6, seed=1000)
         cfg = SamplerConfig(replica_count=4, total_samples=8000,
                             swap_interval=50, surrogate_prob=0.999,
-                            base_seed=1000,
-                            surrogate_hidden=tuple(entry.surrogate_hidden))
+                            base_seed=1000)
         with caplog.at_level("WARNING", logger="sapt.orchestrator"):
             _, report = run(cfg, train, entry.topology())
         warned = [r.getMessage() for r in caplog.records

@@ -51,7 +51,7 @@ def window_batches(count, rows=30, dim=5, seed=0):
 
 class TestSurrogateModel:
     def test_predict_before_training_is_error(self):
-        model = SurrogateModel(4, seed=0)
+        model = SurrogateModel(4)
         with pytest.raises(ContractError):
             model.predict(np.zeros(4))
 
@@ -71,7 +71,7 @@ class TestSurrogateModel:
         assert model.train_count == 0
 
     def test_train_rejects_empty_batch(self):
-        model = SurrogateModel(2, seed=0)
+        model = SurrogateModel(2)
         with pytest.raises(ContractError):
             model.train(SurrogateBatch(np.empty((0, 2)), np.empty(0)))
 
@@ -134,7 +134,7 @@ class TestSurrogateModel:
 
     def test_constant_target_converges(self):
         rng = np.random.default_rng(3)
-        model = SurrogateModel(5, seed=1)
+        model = SurrogateModel(5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rmse = model.train(SurrogateBatch(rng.normal(size=(64, 5)),
@@ -159,8 +159,8 @@ class TestSurrogateModel:
         batches = window_batches(8, seed=9)
         held = np.random.default_rng(10).normal(size=(10, 5))
         runs = []
-        for seed in (11, 12):
-            model = SurrogateModel(5, seed=seed)
+        for _ in range(2):
+            model = SurrogateModel(5)
             rmses = [model.train(b) for b in batches]
             runs.append((rmses, [model.predict(t) for t in held]))
         assert runs[0] == runs[1]

@@ -36,20 +36,20 @@ def make_state(theta, temperature, target, **kw):
 class TestLadder:
     def test_geometric_with_exact_endpoints(self):
         ladder = build_ladder(10, 5.0)
-        assert ladder.temps[0] == 1.0
-        assert ladder.temps[-1] == 5.0
-        ratios = ladder.temps[1:] / ladder.temps[:-1]
+        assert ladder[0] == 1.0
+        assert ladder[-1] == 5.0
+        ratios = ladder[1:] / ladder[:-1]
         npt.assert_allclose(ratios, 1.1958131745004019, rtol=1e-12)
 
     def test_flat_ladder_allowed(self):
-        npt.assert_array_equal(build_ladder(4, 1.0).temps, np.ones(4))
+        npt.assert_array_equal(build_ladder(4, 1.0), np.ones(4))
 
     def test_monotone_property(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             m = int(rng.integers(2, 12))
             tmax = float(rng.uniform(1.0, 50.0))
-            temps = build_ladder(m, tmax).temps
+            temps = build_ladder(m, tmax)
             assert temps.shape == (m,)
             assert np.all(np.diff(temps) >= 0)
 
@@ -193,7 +193,8 @@ class TestMetropolisStep:
         state = make_state([3.0, 3.0], 1.0, target)
         proposal = np.array([0.1, 0.1])
         new = metropolis_step(state, proposal, 0.0, target,
-                              np.random.default_rng(17))
+                              np.random.default_rng(17),
+                              target.log_likelihood(proposal))
         npt.assert_array_equal(new.theta, proposal)
         assert new.accepted_count == 1
         assert new.log_lik == target.log_likelihood(proposal)
@@ -201,8 +202,10 @@ class TestMetropolisStep:
     def test_hopeless_proposal_rejected(self):
         target = QuadraticTarget(center=[0.0, 0.0])
         state = make_state([0.0, 0.0], 1.0, target)
-        new = metropolis_step(state, np.array([1e4, 1e4]), 0.0, target,
-                              np.random.default_rng(19))
+        proposal = np.array([1e4, 1e4])
+        new = metropolis_step(state, proposal, 0.0, target,
+                              np.random.default_rng(19),
+                              target.log_likelihood(proposal))
         npt.assert_array_equal(new.theta, state.theta)
         assert new.accepted_count == 0
         assert new is state
@@ -232,10 +235,12 @@ class TestMetropolisStep:
 
         target = QuadraticTarget(center=[0.0])
         state = make_state([0.0], 1.0, target)
+        nan_target = NanTarget(center=[0.0])
+        proposal = np.array([0.1])
         with caplog.at_level("WARNING", logger="sapt.tempering"):
-            new = metropolis_step(state, np.array([0.1]), 0.0,
-                                  NanTarget(center=[0.0]),
-                                  np.random.default_rng(29))
+            new = metropolis_step(state, proposal, 0.0, nan_target,
+                                  np.random.default_rng(29),
+                                  nan_target.log_likelihood(proposal))
         assert new.accepted_count == 0
         assert new is state
         assert any("non-finite" in r.message for r in caplog.records)
@@ -245,8 +250,10 @@ class TestMetropolisStep:
         state = make_state([2.5], 1.0, target)
         with caplog.at_level("WARNING", logger="sapt.tempering"):
             for seed in range(20):
-                new = metropolis_step(state, np.array([1.9]), 0.0, target,
-                                      np.random.default_rng(seed))
+                proposal = np.array([1.9])
+                new = metropolis_step(state, proposal, 0.0, target,
+                                      np.random.default_rng(seed),
+                                      target.log_likelihood(proposal))
                 assert new.accepted_count == 1
                 assert new.log_lik == target.log_likelihood(np.array([1.9]))
         assert not caplog.records
@@ -257,8 +264,10 @@ class TestMetropolisStep:
         outside = make_state([2.5], 1.0, target)
         with caplog.at_level("WARNING", logger="sapt.tempering"):
             for state in (inside, outside):
-                new = metropolis_step(state, np.array([3.0]), 0.0, target,
-                                      np.random.default_rng(31))
+                proposal = np.array([3.0])
+                new = metropolis_step(state, proposal, 0.0, target,
+                                      np.random.default_rng(31),
+                                      target.log_likelihood(proposal))
                 assert new is state
         assert not caplog.records
 
@@ -303,7 +312,7 @@ class TestSwap:
     def test_apply_swap_moves_values_not_slots(self):
         target = QuadraticTarget(center=[0.0, 0.0])
         a = make_state([1.0, 2.0], 1.0, target, accepted_count=5)
-        b = make_state([-3.0, 4.0], 2.5, target, phase=PHASE_TEMPERED)
+        b = make_state([-3.0, 4.0], 2.5, target)
         new_a, new_b = apply_swap(a, b)
         npt.assert_array_equal(new_a.theta, b.theta)
         npt.assert_array_equal(new_b.theta, a.theta)
