@@ -46,6 +46,11 @@ MATRIX = [
     *[(f"{name}/{s}", name, s, {})
       for name in ("iris-lg", "cancer-surrogate") for s in (1000, 1010, 5000)],
     ("synth-large/1000", "synth-large", 1000, {}),
+    # drift with the surrogate off at >= LONG_ROWS rows; at the default
+    # h = 0.02 no drift step is accepted at 12000 rows, so the gradient's
+    # bits would never reach the chain
+    ("synth-lg/1000", "synth-large", 1000,
+     {"lg_prob": 0.5, "lg_learning_rate": 1e-4, "surrogate_prob": 0.0}),
     *[(f"cancer-lg-surrogate/interval{interval}", "cancer-surrogate", 1000,
        {"lg_prob": 0.5, "surrogate_interval": interval})
       for interval in (50, 150)],
@@ -112,10 +117,12 @@ def run_matrix(checkout: Path) -> None:
             config = pipeline.sampler_config(workload, seed,
                                              workload.sequential, hidden)
             overrides = dict(overrides)
-            if "lg_prob" in overrides:
+            proposal = {key: overrides.pop(key)
+                        for key in ("lg_prob", "lg_learning_rate")
+                        if key in overrides}
+            if proposal:
                 overrides["proposal"] = tempering.ProposalConfig(
-                    kind=tempering.KIND_LANGEVIN_MIX,
-                    lg_prob=overrides.pop("lg_prob"))
+                    kind=tempering.KIND_LANGEVIN_MIX, **proposal)
             config = dataclasses.replace(config, **overrides)
             chain, report = orchestrator.run(config, train, topology)
             summary = diagnostics.posterior_accuracy(

@@ -12,27 +12,30 @@ R^L. Layout, in order:
 The hidden layer applies a logistic sigmoid; the output layer is linear
 and class probabilities come from a softmax over the O outputs.
 
-The likelihood kernel works in place on its own temporaries. An
-elementwise pass applies one IEEE operation per element, so its order
-does not change a bit; the reductions and the matrix products, whose
-bits depend on layout, keep the plain formulas' layout. Every exp
-shift, in the likelihood pass and in the softmax paths, runs on a
-contiguous class-major (O, N) copy of the (N, O) outputs; the softmax
-paths write the normalized rows back into the outputs. numpy sums a
-last axis shorter than PAIRWISE_SUM_CLASSES elements in sequence and a
-longer one pairwise, so the shift's axis-0 sum keeps the bits of
-np.sum(axis=-1) only below that class count, and sums over the (N, O)
-layout from there. Only the bias add changes layout with the row
-count: from LONG_ROWS data rows on it folds FOLD_ROWS rows into one
-wide row. The label probabilities are read with a flat class-major
-index that the Dataset builds once. The log-likelihood gradient
-finishes a likelihood pass: it normalizes the shifted outputs, writes
-one_hot - probs into the C-contiguous (N, O) outputs, and the backward
-pass writes each layer's gradient into its slice of one new vector.
-Every function therefore returns the same bits as the plain formulas
-(kept in tests/_bnn_reference.py), and a seed gives the same chains
-whichever computed them. BnnPosterior remembers its last three results, with
-the gradient or the likelihood pass's activations, for drift steps to
+The likelihood kernel works in place and returns the bits of the plain
+formulas (tests/_bnn_reference.py), so a seed gives the same chains
+whichever computed them. Elementwise passes may run in any order; the
+reductions and matrix products keep the plain layout. A forward pass
+halves one copy of theta's (w, del_h, v) and makes the doubled hidden
+layer 2 sigmoid(a) = 1 + tanh(x @ (w/2) + del_h/2). Scaling by 2^-1
+rounds nothing above the subnormal range, and a subnormal a/2 passes
+tanh unchanged and becomes exactly 1. The likelihood pass multiplies
+the doubled layer by v/2 and adds del_o while it makes the contiguous
+class-major (O, N) copy of the (N, O) outputs that its exp shift runs
+on; an output moved by a subnormal product stays below 2^-53, where
+the shift and exp cannot tell it apart. forward_batch and sse_gradient
+halve the layer before the product with v, so their outputs keep the
+plain bits, and the gradients halve it exactly (1 + tanh is never
+subnormal). The softmax paths shift a class-major copy too and write
+the rows back. An axis-0 sum keeps np.sum(axis=-1)'s bits only below
+PAIRWISE_SUM_CLASSES classes, where numpy sums in sequence; from there
+the sums run over the (N, O) layout. From LONG_ROWS data rows on, a
+bias add folds FOLD_ROWS rows into one wide row. Label probabilities
+are read with the Dataset's flat class-major index. The gradient
+finishes a likelihood pass, writing one_hot - probs into the (N, O)
+outputs, and the backward pass writes each layer into its slice of one
+new vector. BnnPosterior remembers its last three results, with the
+gradient or the likelihood pass's activations, for drift steps to
 reuse.
 """
 
@@ -79,18 +82,6 @@ class PriorConfig:
             raise ContractError(f"prior variance must lie in (0, inf), got {self.sigma_sq}")
 
 
-def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
-    """0.5 * (1 + tanh(0.5 x)), overwriting x.
-
-    The tanh form stays finite for any float input, no overflow warnings.
-    """
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
-    return x
-
-
 def check_theta(theta: np.ndarray, topology: NetworkTopology) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (topology.parameter_count,):
@@ -112,20 +103,16 @@ def _views(flat: np.ndarray, topology: NetworkTopology):
             flat[n_w + h + h * o:])
 
 
-def unpack(theta: np.ndarray, topology: NetworkTopology):
-    """Split a flat parameter vector into (w, del_h, v, del_o) views."""
-    return _views(check_theta(theta, topology), topology)
-
-
 # From this many classes on, numpy's last-axis sum is pairwise rather
 # than sequential, and an axis-0 sum of class rows would change the bits.
 PAIRWISE_SUM_CLASSES = 8
 
 # From this many data rows on, a bias add runs along long contiguous rows:
 # at 90 x 12 the folded add takes 4.7 us against 1.8 us for the plain
-# broadcast, at 7200 x 12 51 us against 85 us.
+# broadcast, at 7200 x 12 40 us against 61 us (2 cores, numpy 2.4).
 LONG_ROWS = 1024
-# Rows folded into one wide row for a bias add.
+# Rows folded into one wide row for a bias add. 1024 would take 12000 x 12
+# from 65 to 43 us, but 1025 x 12 from 8.6 to 10.8 and 1500 x 12 from 11 to 15.
 FOLD_ROWS = 64
 
 
@@ -182,22 +169,34 @@ def _add_bias(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _forward(theta: np.ndarray, features: np.ndarray,
              topology: NetworkTopology):
-    """(v, hidden, pre-softmax outputs) of one forward pass."""
-    w, del_h, v, del_o = unpack(theta, topology)
+    """(theta's (w, del_h, v, del_o) views, v/2, doubled hidden layer)."""
+    theta = check_theta(theta, topology)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != topology.input_count:
         raise ContractError(
             f"feature matrix has shape {features.shape}, expected "
             f"(N, {topology.input_count})"
         )
-    hidden = _sigmoid_inplace(_add_bias(features @ w, del_h))
+    half_w, half_del_h, half_v, _ = _views(
+        theta[:-topology.output_count] * 0.5, topology)
+    hidden = _add_bias(features @ half_w, half_del_h)
+    np.tanh(hidden, out=hidden)
+    hidden += 1.0
+    return _views(theta, topology), half_v, hidden
+
+
+def _outputs(theta: np.ndarray, features: np.ndarray,
+             topology: NetworkTopology):
+    """(v, hidden layer, pre-softmax outputs) of one forward pass."""
+    (_, _, v, del_o), _, hidden = _forward(theta, features, topology)
+    hidden *= 0.5
     return v, hidden, _add_bias(hidden @ v, del_o)
 
 
 def forward_batch(theta: np.ndarray, features: np.ndarray,
                   topology: NetworkTopology) -> np.ndarray:
     """Pre-softmax outputs for a feature matrix, one row per sample."""
-    return _forward(theta, features, topology)[2]
+    return _outputs(theta, features, topology)[2]
 
 
 def class_probabilities(theta: np.ndarray, features: np.ndarray,
@@ -208,12 +207,13 @@ def class_probabilities(theta: np.ndarray, features: np.ndarray,
 def _log_likelihood_pass(theta: np.ndarray, dataset,
                          topology: NetworkTopology):
     """(log_likelihood, the activations _gradient_from takes)."""
-    n = dataset.features.shape[0]
-    if n < 1:
+    if dataset.features.shape[0] < 1:
         raise ContractError("log_likelihood needs a nonempty dataset")
-    _, hidden, out = _forward(theta, dataset.features, topology)
-    # only the label entry of each row is normalized
-    e, row_sum = _exp_shifted_inplace(out.T.copy())
+    (*_, del_o), half_v, hidden = _forward(theta, dataset.features, topology)
+    out = hidden @ half_v
+    # the class-major copy takes del_o; only the label entries are normalized
+    e = np.empty(out.shape[::-1])
+    e, row_sum = _exp_shifted_inplace(np.add(out.T, del_o[:, None], out=e))
     picked = e.ravel().take(dataset.class_label_index)
     picked /= row_sum
     np.log(np.maximum(picked, PROB_FLOOR, out=picked), out=picked)
@@ -264,6 +264,7 @@ def _gradient_from(theta, activations, dataset, topology) -> np.ndarray:
     """The log-likelihood gradient at theta from the activations of a
     _log_likelihood_pass at theta, which it overwrites."""
     hidden, out, e, row_sum = activations
+    hidden *= 0.5
     e /= row_sum
     d_out = np.subtract(dataset.one_hot, e.T, out=out)
     return _backward(_views(theta, topology)[2], hidden, d_out,
@@ -290,7 +291,7 @@ def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.nd
     pi are the softmax outputs, z the one-hot targets. The sampler does
     not use this objective; it is kept as a squared-error diagnostic.
     """
-    v, hidden, out = _forward(theta, dataset.features, topology)
+    v, hidden, out = _outputs(theta, dataset.features, topology)
     probs = _softmax_inplace(out)
     diff = probs - dataset.one_hot
     # dE/df_j = 2 pi_j ((pi_j - z_j) - sum_k (pi_k - z_k) pi_k), per sample

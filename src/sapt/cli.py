@@ -15,9 +15,12 @@ report.txt).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bnn import NetworkTopology, PriorConfig
@@ -150,6 +153,12 @@ def _manifest_entries(args, dataset_id, topology, config: SamplerConfig):
         "prior_sigma_sq": f"{config.prior.sigma_sq:.17g}",
         "base_seed": config.base_seed,
         "thin": args.thin,
+        # a run's bits depend on these (README, Determinism)
+        "numpy_version": np.__version__,
+        "blas": "{name} {version}".format_map(
+            np.show_config(mode="dicts")["Build Dependencies"]["blas"]),
+        **{name.lower(): os.environ.get(name, "unset")
+           for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
 
 

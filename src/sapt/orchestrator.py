@@ -261,7 +261,7 @@ def swap_sweep(states, rng):
         if p > 0 and accepted[p - 1]:
             continue
         beta = swap_probability(states[p], states[p + 1])
-        if rng.uniform() <= beta:
+        if rng.random() <= beta:
             states[p], states[p + 1] = apply_swap(states[p], states[p + 1])
             accepted[p] = True
     return states, accepted
@@ -303,7 +303,7 @@ class _ReplicaRunner:
             self.state = replace(self.state, temperature=1.0)
         s_prob = self.config.surrogate_prob
         # kappa is drawn only when the surrogate is on; 1.0 never passes
-        kappa = self.rng.uniform() if s_prob > 0 else 1.0
+        kappa = self.rng.random() if s_prob > 0 else 1.0
         proposal, log_q = make_proposal(self.state.theta,
                                         self.target, self.config.proposal,
                                         self.rng, self.state.temperature)

@@ -4,6 +4,10 @@ A replica is one chain pinned to a ladder slot. The likelihood term in
 its acceptance ratio is divided by the slot temperature; the prior and
 any proposal-density correction enter untempered. Swap decisions between
 neighboring slots compare untempered log-likelihoods.
+
+Noise is rng.standard_normal scaled in place and uniforms rng.random(),
+the draws and values of numpy's normal(0, s) = 0.0 + s z and uniform() =
+0.0 + 1.0 d; an exact -0.0 noise draw can flip only a zero theta's sign.
 """
 
 from __future__ import annotations
@@ -88,7 +92,9 @@ def propose_rw(theta: np.ndarray, step_sd: float, rng) -> np.ndarray:
     """Random-walk proposal: theta plus iid Gaussian noise (symmetric)."""
     if step_sd <= 0:
         raise ContractError(f"step_sd must be positive, got {step_sd}")
-    return theta + rng.normal(0.0, step_sd, size=theta.shape)
+    noise = rng.standard_normal(theta.shape)
+    noise *= step_sd
+    return np.add(theta, noise, out=noise)
 
 
 def langevin_log_q_ratio(theta, proposal, grad_theta, grad_proposal,
@@ -137,8 +143,9 @@ def propose_langevin(theta: np.ndarray, target, config: ProposalConfig, rng,
     step = config.lg_learning_rate
     noise_sd = math.sqrt(2.0 * step)
     grad = energy_gradient(theta, target, temperature)
-    proposal = theta - step * grad + rng.normal(0.0, noise_sd,
-                                                size=theta.shape)
+    proposal = rng.standard_normal(theta.shape)
+    proposal *= noise_sd
+    proposal += theta - step * grad
     grad_star = energy_gradient(proposal, target, temperature)
     ratio = langevin_log_q_ratio(theta, proposal, grad, grad_star,
                                  step, noise_sd)
@@ -156,7 +163,7 @@ def make_proposal(theta: np.ndarray, target, config: ProposalConfig, rng,
     """
     if config.kind == KIND_RANDOM_WALK:
         return propose_rw(theta, config.rw_step_sd, rng), 0.0
-    if rng.uniform() < config.lg_prob:
+    if rng.random() < config.lg_prob:
         return propose_langevin(theta, target, config, rng, temperature)
     return propose_rw(theta, config.rw_step_sd, rng), 0.0
 
@@ -196,7 +203,7 @@ def metropolis_step(state: ReplicaState, proposal: np.ndarray,
     prop_lp = target.log_prior(proposal)
     prob = acceptance_probability(prop_ll - state.log_lik, state.temperature,
                                   prop_lp - state.log_prior, log_q_ratio)
-    u = rng.uniform()
+    u = rng.random()
     if math.isnan(prob):
         if any(map(math.isnan, (prop_ll, prop_lp, log_q_ratio))):
             log.warning("non-finite acceptance exponent at T=%g (log_lik*=%g, "

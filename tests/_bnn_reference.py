@@ -7,7 +7,14 @@ stay identical for a given seed. Do not edit them to follow bnn.py.
 """
 import numpy as np
 
-from sapt.bnn import PROB_FLOOR, unpack
+from sapt.bnn import PROB_FLOOR
+
+
+def unpack(theta, topology):
+    i, h, o = topology.input_count, topology.hidden_count, topology.output_count
+    theta = np.asarray(theta, dtype=np.float64)
+    return (theta[:i * h].reshape(i, h), theta[i * h:i * h + h],
+            theta[i * h + h:-o].reshape(h, o), theta[-o:])
 
 
 def _sigmoid(x):

@@ -558,3 +558,38 @@ def test_lean_cases_reach_the_floor():
 def test_lean_row_counts_straddle_the_long_path():
     assert 300 < bnn.LONG_ROWS <= 1025
     assert 1025 % bnn.FOLD_ROWS and 1500 % bnn.FOLD_ROWS
+
+
+# Entries near and below the smallest normal double (2.2e-308), where
+# halving a number or a product can round: the likelihood pass works
+# on theta / 2, so these must still give the reference's bits.
+TINY_SCALES = [(5e-324,), (1e-310,), (1e-300,), (5e-324, 1e-310, 1e-300)]
+
+
+def tiny_case(scales, rows):
+    """(theta, dataset, topology) with half the entries, all of hidden
+    unit 0's inputs and bias, and all of class 0's hidden weights and
+    bias drawn from -4..4 times the scales; the others are unit normal."""
+    rng = np.random.default_rng([rows, *(round(-np.log10(s)) for s in scales)])
+    topo = NetworkTopology(4, 6, 3)
+    tiny = rng.random(topo.parameter_count) < 0.5
+    w, del_h, v, del_o = bnn._views(tiny, topo)
+    w[:, 0] = del_h[0] = v[:, 0] = del_o[0] = True
+    small = rng.choice(scales, tiny.shape) * rng.uniform(-4.0, 4.0, tiny.shape)
+    theta = np.where(tiny, small, rng.normal(size=tiny.shape))
+    features = rng.normal(size=(rows, 4))
+    return theta, make_dataset(features, rng.integers(0, 3, rows), 3), topo
+
+
+@pytest.mark.parametrize("rows", [5, 300, 1025, 1500, 2100])
+@pytest.mark.parametrize("scales", TINY_SCALES)
+def test_subnormal_scale_parameters_keep_the_reference_bits(scales, rows):
+    theta, ds, topo = tiny_case(scales, rows)
+    value, grad = log_likelihood_and_gradient(theta, ds, topo)
+    for got, want in [
+            (value, ref.log_likelihood(theta, ds, topo)),
+            (grad, ref.log_likelihood_gradient(theta, ds, topo)),
+            (forward_batch(theta, ds.features, topo),
+             ref.forward_batch(theta, ds.features, topo)),
+            (sse_gradient(theta, ds, topo), ref.sse_gradient(theta, ds, topo))]:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

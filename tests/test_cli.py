@@ -149,6 +149,22 @@ class TestRuns:
         assert (out / "histograms.csv").exists()
         assert not (out / "surrogate_trace.csv").exists()
 
+    def test_manifest_records_numpy_and_blas(self, capsys, tmp_path,
+                                             monkeypatch):
+        # a run's bits depend on numpy, its BLAS and, with the surrogate
+        # on, the BLAS thread count
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert run_cli(self.small_args(out)) == 0
+        entries = dict(line.split(" ", 1) for line in
+                       (out / "manifest.txt").read_text().splitlines())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert entries["numpy_version"] == np.__version__
+        assert entries["blas"] == f"{blas['name']} {blas['version']}"
+        assert entries["openblas_num_threads"] == "1"
+        assert entries["omp_num_threads"] == "unset"
+
     def test_surrogate_run_outputs(self, capsys, tmp_path):
         out = tmp_path / "surr"
         extra = ["--surrogate-prob", "0.5", "--surrogate-interval", "20"]

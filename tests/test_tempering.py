@@ -15,6 +15,7 @@ from sapt.tempering import (
     acceptance_probability,
     apply_swap,
     build_ladder,
+    energy_gradient,
     langevin_log_q_ratio,
     make_proposal,
     metropolis_step,
@@ -165,6 +166,22 @@ class TestProposals:
                                theta + ref.normal(0.0, 0.025, size=3))
         assert ratio == 0.0
 
+    def test_mix_drift_replays_selector_then_noise(self):
+        # the selector, then sqrt(2 h) N(0, I) noise on the drift mean
+        target = QuadraticTarget(center=[2.0, -1.0, 0.5])
+        h, temperature = 0.02, 2.0
+        config = ProposalConfig(kind=KIND_LANGEVIN_MIX, lg_learning_rate=h,
+                                lg_prob=1.0)
+        theta = np.array([1.0, 2.0, 3.0])
+        rng = np.random.default_rng(37)
+        proposal, _ = make_proposal(theta, target, config, rng, temperature)
+        ref = np.random.default_rng(37)
+        ref.uniform()
+        mean = theta - h * energy_gradient(theta, target, temperature)
+        npt.assert_array_equal(proposal,
+                               mean + ref.normal(0.0, np.sqrt(2 * h), size=3))
+        assert rng.random() == ref.random()
+
     def test_pure_rw_draws_no_selector(self):
         target = QuadraticTarget(center=[0.0])
         config = ProposalConfig(kind=KIND_RANDOM_WALK)
@@ -210,6 +227,25 @@ class TestMetropolisStep:
         assert new.accepted_count == 0
         assert new is state
         assert new.log_lik == state.log_lik
+
+    def test_accept_uniform_replays_the_stream(self):
+        # one uniform per step, accepted when it is <= the probability
+        target = QuadraticTarget(center=[0.0])
+        state = make_state([0.0], 1.0, target)
+        proposal = np.array([1.2])
+        log_lik = target.log_likelihood(proposal)
+        prob = acceptance_probability(
+            log_lik - state.log_lik, 1.0,
+            target.log_prior(proposal) - state.log_prior, 0.0)
+        decisions = set()
+        for seed in range(40):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = metropolis_step(state, proposal, 0.0, target, rng, log_lik)
+            accept = ref.uniform() <= prob
+            assert (new is not state) == accept
+            assert rng.random() == ref.random()
+            decisions.add(accept)
+        assert decisions == {True, False}
 
     def test_precomputed_log_lik_respected(self):
         # surrogate path hands in an estimate; target must not be called
