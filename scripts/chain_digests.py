@@ -17,7 +17,8 @@ For every configuration the script prints four hashes per side:
   equal; keys that one side alone writes (a report schema change) are
   listed after the table and not compared;
 * data: the bytes of the teacher CSV that the copy's save_csv wrote,
-  then the train and test features and labels the run sampled from.
+  then the train and test features, labels, one-hot targets and class
+  counts the run sampled from.
 
 It exits 1 if any hash differs or a side fails to run, and removes the
 copies on the way out.
@@ -134,7 +135,8 @@ def run_matrix(checkout: Path) -> None:
                                                      "elapsed_minutes "))]
             data = csv_hash.copy()
             for side in (train, test):
-                for values in (side.features, side.labels):
+                for values in (side.features, side.labels, side.one_hot,
+                               side.class_count):
                     data.update(np.ascontiguousarray(values).tobytes())
             surrogate = hashlib.sha256()
             for trace in chain.traces:

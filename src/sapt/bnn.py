@@ -199,11 +199,6 @@ def forward_batch(theta: np.ndarray, features: np.ndarray,
     return _outputs(theta, features, topology)[2]
 
 
-def class_probabilities(theta: np.ndarray, features: np.ndarray,
-                        topology: NetworkTopology) -> np.ndarray:
-    return _softmax_inplace(forward_batch(theta, features, topology))
-
-
 def _log_likelihood_pass(theta: np.ndarray, dataset,
                          topology: NetworkTopology):
     """(log_likelihood, the activations _gradient_from takes)."""

@@ -28,11 +28,12 @@ DEFAULT_TRAIN_FRACTION = 0.6
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix with integer labels and one-hot targets."""
+    """Immutable feature matrix with integer labels; the one-hot targets
+    and the labels' class-major positions are derived from the labels."""
 
     features: np.ndarray   # N x I float64
     labels: np.ndarray     # N ints in 0..K-1
-    one_hot: np.ndarray    # N x K
+    class_count: int
     name: str = ""
 
     def __post_init__(self):
@@ -40,15 +41,12 @@ class Dataset:
             raise ContractError("dataset needs at least one sample row")
         if not np.all(np.isfinite(self.features)):
             raise ContractError("dataset features must be finite")
-        n, k = self.one_hot.shape
-        if n != self.features.shape[0] or self.labels.shape != (n,):
-            raise ContractError("features, labels and one-hot row counts differ")
-        if self.labels.min() < 0 or self.labels.max() >= k:
-            raise ContractError("labels outside 0..K-1")
-        # the likelihood reads labels, its gradient and the Brier score
-        # read one_hot, so the two must describe the same classes
-        if not np.array_equal(self.one_hot, one_hot(self.labels, k)):
-            raise ContractError("one-hot rows are not the labels' indicators")
+        n = self.features.shape[0]
+        if self.labels.shape != (n,):
+            raise ContractError("features and labels row counts differ")
+        # N x K float64, read by the gradient and the Brier score
+        object.__setattr__(self, "one_hot",
+                           one_hot(self.labels, self.class_count))
         # flat positions of the labels in a class-major (K, N) array, the
         # layout in which the likelihood pass shifts its outputs at every N
         object.__setattr__(self, "class_label_index",
@@ -57,10 +55,6 @@ class Dataset:
     @property
     def sample_count(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def class_count(self) -> int:
-        return self.one_hot.shape[1]
 
     @property
     def feature_count(self) -> int:
@@ -84,9 +78,8 @@ def one_hot(labels, class_count: int) -> np.ndarray:
 
 def make_dataset(features, labels, class_count: int,
                  name: str = "") -> Dataset:
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(features, labels, one_hot(labels, class_count), name)
+    return Dataset(np.asarray(features, dtype=np.float64),
+                   np.asarray(labels, dtype=np.int64), class_count, name)
 
 
 def _file_line(raw, row: int) -> int:
@@ -206,7 +199,7 @@ def split(dataset: Dataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
         scaled = np.where(span > 0,
                           (dataset.features[indices] - lo) / safe_span, 0.0)
         return Dataset(scaled, dataset.labels[indices],
-                       dataset.one_hot[indices], dataset.name)
+                       dataset.class_count, dataset.name)
 
     return subset(train_idx), subset(test_idx)
 
@@ -215,17 +208,18 @@ def split(dataset: Dataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
 class RegistryEntry:
     """Per-dataset shape and model sizing, read from the registry file.
 
-    surrogate_hidden is read and ignored: the surrogate is a linear
-    ridge fit with no hidden layers.
+    surrogate_hidden is not in the registry and the sampler ignores it
+    (the surrogate is a linear ridge fit with no hidden layers); only
+    perfbench/pipeline.py reads it, to pass on to SamplerConfig.
     """
 
     name: str
     attribute_count: int
     class_count: int
     hidden_units: int
-    surrogate_hidden: tuple
     data_file: str
     bundled: bool
+    surrogate_hidden: tuple = (64, 16)
 
     def topology(self) -> NetworkTopology:
         return NetworkTopology(self.attribute_count, self.hidden_units,
@@ -237,24 +231,22 @@ def _registry_text() -> str:
 
 
 def load_registry() -> dict:
-    """Parse the packaged registry file into name -> RegistryEntry."""
+    """Parse the packaged registry file into name -> RegistryEntry; a
+    missing or malformed key is a DataFormatError naming its section."""
     parser = configparser.ConfigParser()
     parser.read_string(_registry_text())
     entries = {}
     for section in parser.sections():
-        sec = parser[section]
         try:
             entries[section] = RegistryEntry(
                 name=section,
-                attribute_count=sec.getint("attributes"),
-                class_count=sec.getint("classes"),
-                hidden_units=sec.getint("hidden_units"),
-                surrogate_hidden=(sec.getint("surrogate_h1"),
-                                  sec.getint("surrogate_h2")),
-                data_file=sec.get("data_file"),
-                bundled=sec.getboolean("bundled", fallback=False),
+                attribute_count=parser.getint(section, "attributes"),
+                class_count=parser.getint(section, "classes"),
+                hidden_units=parser.getint(section, "hidden_units"),
+                data_file=parser.get(section, "data_file"),
+                bundled=parser.getboolean(section, "bundled", fallback=False),
             )
-        except (TypeError, ValueError) as exc:
+        except (configparser.Error, ValueError) as exc:
             raise DataFormatError(f"registry section [{section}]: {exc}") from None
     return entries
 

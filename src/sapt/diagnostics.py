@@ -16,7 +16,7 @@ import numpy as np
 from .bnn import (PROB_FLOOR, NetworkTopology, forward_batch,
                   output_accuracy, predict_accuracy, softmax)
 from .exceptions import ContractError
-from .orchestrator import PosteriorChain, RunReport, _value
+from .orchestrator import PosteriorChain, RunReport
 
 HISTOGRAM_BINS = 50
 
@@ -30,7 +30,7 @@ class AccuracySummary:
     are per-row means over the test split: log predictive density (log
     of the label's probability, at most 0), Brier score (squared
     distance to the one-hot label, in [0, 2]) and the accuracy of the
-    most probable class; None where a summary lacks them.
+    most probable class.
     """
 
     train_mean: float
@@ -39,10 +39,10 @@ class AccuracySummary:
     test_mean: float
     test_std: float
     test_best: float
+    test_log_predictive_density: float
+    test_brier: float
+    test_accuracy_posterior_mean: float
     elapsed_minutes: float = 0.0
-    test_log_predictive_density: float | None = None
-    test_brier: float | None = None
-    test_accuracy_posterior_mean: float | None = None
 
     def __post_init__(self):
         slack = 1e-9
@@ -61,7 +61,7 @@ class AccuracySummary:
                              ("test_brier", 0.0, 2.0),
                              ("test_accuracy_posterior_mean", 0.0, 100.0)):
             value = getattr(self, name)
-            if value is not None and not lo - slack <= value <= hi + slack:
+            if not lo - slack <= value <= hi + slack:
                 raise ContractError(f"{name} {value} outside [{lo}, {hi}]")
 
     def to_text(self) -> str:
@@ -73,10 +73,10 @@ class AccuracySummary:
             f"test_accuracy_std {self.test_std:.8g}\n"
             f"test_accuracy_best {self.test_best:.8g}\n"
             f"test_log_predictive_density "
-            f"{_value(self.test_log_predictive_density)}\n"
-            f"test_brier {_value(self.test_brier)}\n"
+            f"{self.test_log_predictive_density:.8g}\n"
+            f"test_brier {self.test_brier:.8g}\n"
             f"test_accuracy_posterior_mean "
-            f"{_value(self.test_accuracy_posterior_mean)}\n"
+            f"{self.test_accuracy_posterior_mean:.8g}\n"
             f"elapsed_minutes {self.elapsed_minutes:.8g}\n"
         )
 

@@ -78,8 +78,8 @@ class SamplerConfig:
 
     sequential_mode is accepted and ignored: every run steps all
     replicas in one process, and the chains do not depend on it.
-    surrogate_hidden is accepted, validated and ignored: the surrogate
-    is a linear ridge fit with no hidden layers.
+    surrogate_hidden is accepted and ignored: the surrogate is a linear
+    ridge fit with no hidden layers.
     """
 
     replica_count: int = 10
@@ -116,9 +116,6 @@ class SamplerConfig:
             raise ConfigError("burn_in_fraction must lie in (0,1)")
         if not 1.0 <= self.max_temp < math.inf:
             raise ConfigError("max_temp must be finite and >= 1")
-        if len(self.surrogate_hidden) != 2 \
-                or min(self.surrogate_hidden) < 1:
-            raise ConfigError("surrogate_hidden must be two positive sizes")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be >= 0")
 

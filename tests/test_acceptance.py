@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 
-from sapt.bnn import class_probabilities, softmax, sse_gradient
+from sapt.bnn import forward_batch, softmax, sse_gradient
 from sapt.data import load_registered
 from sapt.diagnostics import posterior_accuracy
 from sapt.orchestrator import (
@@ -192,7 +192,7 @@ def test_criterion_6_gradient_matches_finite_differences():
     assert topo.parameter_count == 99
 
     def sse(theta):
-        probs = class_probabilities(theta, train.features, topo)
+        probs = softmax(forward_batch(theta, train.features, topo))
         return np.sum((train.one_hot - probs) ** 2)
 
     rng = np.random.default_rng(404)

@@ -8,7 +8,6 @@ from sapt.bnn import (
     NetworkTopology,
     PriorConfig,
     check_theta,
-    class_probabilities,
     forward_batch,
     log_likelihood,
     log_likelihood_and_gradient,
@@ -104,7 +103,7 @@ class TestForward:
     def test_hand_computed_instance(self):
         npt.assert_allclose(forward(THETA_222, X_222, TOPO_222), F_222,
                             rtol=1e-13)
-        probs = class_probabilities(THETA_222, X_222[None, :], TOPO_222)
+        probs = softmax(forward_batch(THETA_222, X_222[None, :], TOPO_222))
         npt.assert_allclose(probs[0], SOFTMAX_222, rtol=1e-13)
 
     def test_batch_matches_single(self):
@@ -220,7 +219,7 @@ class TestLogDensityGradients:
 class TestSseGradient:
     def central_difference(self, theta, ds, topo, h=1e-5):
         def sse(t):
-            probs = class_probabilities(t, ds.features, topo)
+            probs = softmax(forward_batch(t, ds.features, topo))
             return np.sum((ds.one_hot - probs) ** 2)
 
         grad = np.empty_like(theta)
@@ -261,8 +260,8 @@ class TestPredictAccuracy:
     def test_matches_recount(self, tiny_dataset, tiny_topology):
         rng = np.random.default_rng(29)
         theta = rng.normal(size=tiny_topology.parameter_count)
-        probs = class_probabilities(theta, tiny_dataset.features,
-                                    tiny_topology)
+        probs = softmax(forward_batch(theta, tiny_dataset.features,
+                                      tiny_topology))
         want = 100.0 * np.mean(np.argmax(probs, axis=1)
                                == tiny_dataset.labels)
         assert predict_accuracy(theta, tiny_dataset, tiny_topology) == want
@@ -512,7 +511,7 @@ class TestLeanKernelBitIdentity:
             assert np.array_equal(forward_batch(theta, ds.features, topo),
                                   ref.forward_batch(theta, ds.features, topo))
             assert np.array_equal(
-                class_probabilities(theta, ds.features, topo),
+                softmax(forward_batch(theta, ds.features, topo)),
                 ref.class_probabilities(theta, ds.features, topo))
 
     def test_gradients(self, classes, rows):
@@ -538,7 +537,7 @@ class TestLeanKernelBitIdentity:
         log_likelihood(theta, ds, topo)
         log_likelihood_and_gradient(theta, ds, topo)
         forward_batch(theta, ds.features, topo)
-        class_probabilities(theta, ds.features, topo)
+        softmax(forward_batch(theta, ds.features, topo))
         sse_gradient(theta, ds, topo)
         predict_accuracy(theta, ds, topo)
         for before, after in zip(kept, (theta, ds.features, ds.labels,

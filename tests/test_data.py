@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import _data_reference as ref
+from sapt import data
+from sapt.bnn import BnnPosterior, NetworkTopology, PriorConfig
 from sapt.data import (
     Dataset,
     load_csv,
@@ -50,18 +52,27 @@ class TestDatasetInvariants:
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(ContractError):
-            Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64),
-                    np.zeros((3, 2)))
+            Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), 2)
 
-    def test_rejects_one_hot_that_disagrees_with_labels(self):
-        # the likelihood reads labels and the gradient one_hot: a mismatch
-        # would drift the chain by another likelihood's gradient
-        labels = np.array([0, 1, 1])
-        for bad in (one_hot([0, 1, 0], 2), np.full((3, 2), 0.5),
-                    2.0 * one_hot(labels, 2)):
-            with pytest.raises(ContractError):
-                Dataset(np.zeros((3, 2)), labels, bad)
-        Dataset(np.zeros((3, 2)), labels, one_hot(labels, 2))
+    def test_targets_derived_from_labels(self):
+        labels = np.array([2, 0, 1, 1, 0], dtype=np.int64)
+        features = np.arange(10.0).reshape(5, 2)
+        made = make_dataset(features, labels, 4)
+        direct = Dataset(features, labels, 4)
+        for ds in (made, direct):
+            assert ds.class_count == 4
+            assert ds.one_hot.dtype == np.float64
+            assert ds.one_hot.flags.c_contiguous
+            npt.assert_array_equal(ds.one_hot, one_hot(labels, 4))
+        npt.assert_array_equal(made.class_label_index,
+                               direct.class_label_index)
+
+    def test_out_of_range_label_on_both_paths(self):
+        for labels in ([0, 2], [-1, 0]):
+            with pytest.raises(DataFormatError):
+                make_dataset(np.zeros((2, 2)), labels, 2)
+            with pytest.raises(DataFormatError):
+                Dataset(np.zeros((2, 2)), np.array(labels, dtype=np.int64), 2)
 
 
 class TestCsvRoundTrip:
@@ -293,6 +304,18 @@ class TestSplit:
         with pytest.raises(ContractError):
             split(self.build(), seed=-1)
 
+    def test_side_lacking_a_class_keeps_every_column(self):
+        # class 2's one row goes to the train side at fraction 0.6
+        labels = [0] * 5 + [1] * 5 + [2]
+        ds = make_dataset(np.random.default_rng(3).normal(size=(11, 2)),
+                          labels, 3)
+        train, test = split(ds, train_fraction=0.6, seed=1)
+        assert 2 in train.labels and 2 not in test.labels
+        for side in (train, test):
+            assert side.class_count == 3
+            assert side.one_hot.shape == (side.sample_count, 3)
+            BnnPosterior(NetworkTopology(2, 3, 3), side, PriorConfig())
+
     def test_class_starved_split(self):
         ds = make_dataset(np.random.default_rng(0).normal(size=(5, 2)),
                           [0, 0, 0, 0, 1], 2)
@@ -312,6 +335,13 @@ class TestRegistry:
         entry = registry_entry("cancer")
         assert entry.attribute_count == 9
         assert entry.class_count == 2
+
+    def test_missing_key_is_a_format_error(self, monkeypatch):
+        monkeypatch.setattr(data, "_registry_text", lambda: (
+            "[toy]\nattributes = 2\nclasses = 2\ndata_file = toy.csv\n"))
+        with pytest.raises(DataFormatError, match="hidden_units") as err:
+            load_registry()
+        assert "[toy]" in str(err.value)
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ConfigError) as err:

@@ -47,25 +47,30 @@ def surrogate_chain():
 
 
 class TestAccuracySummary:
+    SCORES = {"test_log_predictive_density": -0.25, "test_brier": 0.5,
+              "test_accuracy_posterior_mean": 88.0}
+
     def test_validation(self):
         with pytest.raises(ContractError):
-            AccuracySummary(50.0, -1.0, 60.0, 50.0, 1.0, 60.0)
+            AccuracySummary(50.0, -1.0, 60.0, 50.0, 1.0, 60.0, **self.SCORES)
         with pytest.raises(ContractError):
-            AccuracySummary(50.0, 1.0, 40.0, 50.0, 1.0, 60.0)
+            AccuracySummary(50.0, 1.0, 40.0, 50.0, 1.0, 60.0, **self.SCORES)
         with pytest.raises(ContractError):
-            AccuracySummary(150.0, 1.0, 160.0, 50.0, 1.0, 60.0)
+            AccuracySummary(150.0, 1.0, 160.0, 50.0, 1.0, 60.0, **self.SCORES)
         for scores in ({"test_log_predictive_density": 0.1},
                        {"test_brier": 2.5},
                        {"test_accuracy_posterior_mean": -1.0}):
             with pytest.raises(ContractError):
-                AccuracySummary(50.0, 1.0, 60.0, 50.0, 1.0, 60.0, **scores)
+                AccuracySummary(50.0, 1.0, 60.0, 50.0, 1.0, 60.0,
+                                **{**self.SCORES, **scores})
 
     def test_to_text_keys(self):
-        s = AccuracySummary(90.0, 1.0, 95.0, 85.0, 2.0, 92.0, 1.5)
+        s = AccuracySummary(90.0, 1.0, 95.0, 85.0, 2.0, 92.0,
+                            elapsed_minutes=1.5, **self.SCORES)
         text = s.to_text()
         for key in ["train_accuracy_mean 90", "test_accuracy_best 92",
-                    "elapsed_minutes 1.5", "test_log_predictive_density n/a",
-                    "test_brier n/a", "test_accuracy_posterior_mean n/a"]:
+                    "elapsed_minutes 1.5", "test_log_predictive_density -0.25",
+                    "test_brier 0.5", "test_accuracy_posterior_mean 88"]:
             assert key in text
 
 

@@ -120,8 +120,6 @@ class TestSamplerConfig:
                 small_config(max_temp=max_temp)
         with pytest.raises(ConfigError):
             small_config(base_seed=-1)
-        with pytest.raises(ConfigError):
-            small_config(surrogate_hidden=(8,))
 
 
 class TestSwapSweep:
