@@ -26,17 +26,17 @@ on; an output moved by a subnormal product stays below 2^-53, where
 the shift and exp cannot tell it apart. forward_batch and sse_gradient
 halve the layer before the product with v, so their outputs keep the
 plain bits, and the gradients halve it exactly (1 + tanh is never
-subnormal). The softmax paths shift a class-major copy too and write
-the rows back. An axis-0 sum keeps np.sum(axis=-1)'s bits only below
+subnormal). softmax shifts a class-major copy too and writes the rows
+back. An axis-0 sum keeps np.sum(axis=-1)'s bits only below
 PAIRWISE_SUM_CLASSES classes, where numpy sums in sequence; from there
 the sums run over the (N, O) layout. From LONG_ROWS data rows on, a
 bias add folds FOLD_ROWS rows into one wide row. Label probabilities
-are read with the Dataset's flat class-major index. The gradient
+are read with the Dataset's flat class-major index. A gradient
 finishes a likelihood pass, writing one_hot - probs into the (N, O)
 outputs, and the backward pass writes each layer into its slice of one
-new vector. BnnPosterior remembers its last three results, with the
-gradient or the likelihood pass's activations, for drift steps to
-reuse.
+new vector. BnnPosterior keeps the likelihood passes of the last three
+points it was asked about; a gradient at one of them finishes that
+pass and takes the place of its activations.
 """
 
 from __future__ import annotations
@@ -132,13 +132,6 @@ def _exp_shifted_inplace(e: np.ndarray):
     return e, np.add.reduce(e, axis=0)
 
 
-def _softmax_inplace(f: np.ndarray) -> np.ndarray:
-    """Softmax of each row of the 2-D f, overwriting f."""
-    e, row_sum = _exp_shifted_inplace(f.T.copy())
-    np.divide(e, row_sum, out=f.T)
-    return f
-
-
 def softmax(f: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, shifted by the row max for stability.
 
@@ -147,7 +140,9 @@ def softmax(f: np.ndarray) -> np.ndarray:
     not modified.
     """
     p = np.array(f, dtype=np.float64)
-    _softmax_inplace(p.reshape(-1, p.shape[-1]))
+    rows = p.reshape(-1, p.shape[-1])
+    e, row_sum = _exp_shifted_inplace(rows.T.copy())
+    np.divide(e, row_sum, out=rows.T)
     return p
 
 
@@ -202,8 +197,6 @@ def forward_batch(theta: np.ndarray, features: np.ndarray,
 def _log_likelihood_pass(theta: np.ndarray, dataset,
                          topology: NetworkTopology):
     """(log_likelihood, the activations _gradient_from takes)."""
-    if dataset.features.shape[0] < 1:
-        raise ContractError("log_likelihood needs a nonempty dataset")
     (*_, del_o), half_v, hidden = _forward(theta, dataset.features, topology)
     out = hidden @ half_v
     # the class-major copy takes del_o; only the label entries are normalized
@@ -256,28 +249,17 @@ def _backward(v, hidden, d_out, features, topology) -> np.ndarray:
 
 
 def _gradient_from(theta, activations, dataset, topology) -> np.ndarray:
-    """The log-likelihood gradient at theta from the activations of a
-    _log_likelihood_pass at theta, which it overwrites."""
+    """The log-likelihood gradient at theta in vector layout, from the
+    activations of a _log_likelihood_pass at theta, which it overwrites.
+    It is the softmax cross-entropy one, d(log pi_label)/df_j = z_j - pi_j
+    per sample, and ignores the PROB_FLOOR clamp: the unclamped
+    log-likelihood's gradient, which the Langevin drift proposal climbs."""
     hidden, out, e, row_sum = activations
     hidden *= 0.5
     e /= row_sum
     d_out = np.subtract(dataset.one_hot, e.T, out=out)
     return _backward(_views(theta, topology)[2], hidden, d_out,
                      dataset.features, topology)
-
-
-def log_likelihood_and_gradient(theta: np.ndarray, dataset,
-                                topology: NetworkTopology):
-    """(log_likelihood, its gradient in vector layout) from one pass.
-
-    The gradient is the softmax cross-entropy one, d(log pi_label)/df_j
-    = z_j - pi_j per sample; the PROB_FLOOR clamp is ignored, so it is
-    the gradient of the unclamped log-likelihood, which the Langevin
-    drift proposal climbs.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    value, activations = _log_likelihood_pass(theta, dataset, topology)
-    return value, _gradient_from(theta, activations, dataset, topology)
 
 
 def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.ndarray:
@@ -287,7 +269,7 @@ def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.nd
     not use this objective; it is kept as a squared-error diagnostic.
     """
     v, hidden, out = _outputs(theta, dataset.features, topology)
-    probs = _softmax_inplace(out)
+    probs = softmax(out)
     diff = probs - dataset.one_hot
     # dE/df_j = 2 pi_j ((pi_j - z_j) - sum_k (pi_k - z_k) pi_k), per sample
     row_dot = np.sum(diff * probs, axis=1, keepdims=True)
@@ -308,8 +290,6 @@ def output_accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
 def predict_accuracy(theta: np.ndarray, dataset, topology: NetworkTopology) -> float:
     """Percent of samples whose most probable class matches the label,
     by output_accuracy on the pre-softmax outputs."""
-    if dataset.features.shape[0] < 1:
-        raise ContractError("predict_accuracy needs a nonempty dataset")
     return output_accuracy(forward_batch(theta, dataset.features, topology),
                            dataset.labels)
 
@@ -323,15 +303,16 @@ class BnnPosterior:
     can stand in for the network posterior. sse_gradient is the
     squared-error gradient, kept for diagnostics; no sampler calls it.
 
-    A drift step needs gradients at theta and its proposal, then the
-    proposal's likelihood: one fused pass gives both. Once a gradient
-    has been served, a likelihood miss also keeps its pass's activations
-    (hidden layer, shifted outputs, row sums), and a gradient at that
-    point, as a drift step from an accepted random-walk proposal asks
-    for, then needs only a backward pass. The MEMO_SIZE entries used
-    last are kept, so the current point outlasts one random-walk
-    proposal. Entries are keyed by theta's exact shape and bytes and
-    hold the module functions' bits; gradients are read-only.
+    A memo miss stores one likelihood pass: its value and activations
+    (hidden layer, shifted outputs, row sums). A gradient finishes them
+    by a backward pass and takes their place, so a drift step (gradients
+    at theta and its proposal, then the proposal's likelihood) pays one
+    pass per new point, and one from an accepted random-walk proposal
+    only a backward pass. log_likelihood keeps nothing before the first
+    gradient. The MEMO_SIZE entries used last are kept, so the current
+    point outlasts one random-walk proposal. Entries are keyed by theta's
+    exact shape and bytes and hold the module functions' bits; gradients
+    are read-only.
     """
 
     MEMO_SIZE = 3  # the current point, a drift and a random-walk proposal
@@ -350,16 +331,17 @@ class BnnPosterior:
         self.topology = topology
         self.dataset = dataset
         self.prior = prior
-        # key -> [value, gradient or activations], least recent first
+        # key -> [value, activations or gradient], least recent first
         self._memo = {}
 
-    def _entry(self, theta: np.ndarray, compute) -> list:
-        """theta's memo entry, made the newest; a miss stores
-        compute(theta, dataset, topology)."""
+    def _entry(self, theta: np.ndarray) -> list:
+        """theta's memo entry, made the newest; a miss stores a
+        _log_likelihood_pass at theta."""
         key = (theta.shape, theta.tobytes())
         entry = self._memo.pop(key, None)
         if entry is None:
-            entry = list(compute(theta, self.dataset, self.topology))
+            entry = list(_log_likelihood_pass(theta, self.dataset,
+                                              self.topology))
             if len(self._memo) == self.MEMO_SIZE:
                 del self._memo[next(iter(self._memo))]
         self._memo[key] = entry
@@ -369,7 +351,7 @@ class BnnPosterior:
         if not self._memo:  # no gradient served yet: keep no activations
             return log_likelihood(theta, self.dataset, self.topology)
         theta = np.asarray(theta, dtype=np.float64)
-        return self._entry(theta, _log_likelihood_pass)[0]
+        return self._entry(theta)[0]
 
     def log_prior(self, theta: np.ndarray) -> float:
         return log_prior(theta, self.prior)
@@ -379,11 +361,11 @@ class BnnPosterior:
 
     def log_likelihood_gradient(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
-        entry = self._entry(theta, log_likelihood_and_gradient)
+        entry = self._entry(theta)
         if isinstance(entry[1], tuple):  # a likelihood pass's activations
             entry[1] = _gradient_from(theta, entry[1], self.dataset,
                                       self.topology)
-        entry[1].setflags(write=False)
+            entry[1].setflags(write=False)
         return entry[1]
 
     def log_prior_gradient(self, theta: np.ndarray) -> np.ndarray:

@@ -232,9 +232,14 @@ def _registry_text() -> str:
 
 def load_registry() -> dict:
     """Parse the packaged registry file into name -> RegistryEntry; a
-    missing or malformed key is a DataFormatError naming its section."""
+    missing or malformed key is a DataFormatError naming its section,
+    and a file configparser cannot parse one naming the file."""
     parser = configparser.ConfigParser()
-    parser.read_string(_registry_text())
+    try:
+        parser.read_string(_registry_text(), source="registry.cfg")
+    except configparser.Error as exc:
+        # configparser's message spans lines; the CLI prints one
+        raise DataFormatError(" ".join(str(exc).split())) from None
     entries = {}
     for section in parser.sections():
         try:

@@ -10,7 +10,6 @@ from sapt.bnn import (
     check_theta,
     forward_batch,
     log_likelihood,
-    log_likelihood_and_gradient,
     log_prior,
     log_prior_gradient,
     predict_accuracy,
@@ -40,6 +39,14 @@ def forward(theta, x, topology):
 
 def one_row_dataset(x, label, class_count):
     return make_dataset(x[None, :], np.array([label]), class_count)
+
+
+def value_and_gradient(theta, ds, topo):
+    """(log-likelihood, gradient) at theta from a fresh BnnPosterior,
+    whose memo serves the value from the gradient's pass."""
+    post = BnnPosterior(topo, ds, PriorConfig())
+    grad = post.log_likelihood_gradient(theta)
+    return post.log_likelihood(theta), grad
 
 
 class TestTopology:
@@ -207,7 +214,7 @@ class TestLogDensityGradients:
                 down[i] -= 1e-5
                 want[i] = (log_likelihood(up, ds, topo)
                            - log_likelihood(down, ds, topo)) / 2e-5
-            grad = log_likelihood_and_gradient(theta, ds, topo)[1]
+            grad = value_and_gradient(theta, ds, topo)[1]
             npt.assert_allclose(grad, want, rtol=1e-5, atol=1e-8)
 
     def test_log_prior_gradient(self):
@@ -280,8 +287,8 @@ class TestBnnPosterior:
                                sse_gradient(theta, tiny_dataset,
                                             tiny_topology))
         npt.assert_array_equal(post.log_likelihood_gradient(theta),
-                               log_likelihood_and_gradient(
-                                   theta, tiny_dataset, tiny_topology)[1])
+                               ref.log_likelihood_gradient(
+                                   theta, tiny_dataset, tiny_topology))
         npt.assert_array_equal(post.log_prior_gradient(theta),
                                log_prior_gradient(theta, prior))
 
@@ -300,14 +307,14 @@ class TestPosteriorMemo:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Thetas handed to the fused pass, in call order."""
+        """Thetas handed to the likelihood pass, in call order."""
         seen = []
-        fused = bnn.log_likelihood_and_gradient
+        likelihood_pass = bnn._log_likelihood_pass
 
         def counted(theta, dataset, topology):
             seen.append(np.array(theta))
-            return fused(theta, dataset, topology)
-        monkeypatch.setattr(bnn, "log_likelihood_and_gradient", counted)
+            return likelihood_pass(theta, dataset, topology)
+        monkeypatch.setattr(bnn, "_log_likelihood_pass", counted)
         return seen
 
     def thetas(self, count, tiny_topology):
@@ -324,7 +331,7 @@ class TestPosteriorMemo:
         assert len(passes) == 1
         assert again is first
         assert value == log_likelihood(a, tiny_dataset, tiny_topology)
-        assert np.array_equal(again, log_likelihood_and_gradient(
+        assert np.array_equal(again, value_and_gradient(
             a, tiny_dataset, tiny_topology)[1])
 
     def test_least_recently_used_is_evicted(self, post, passes,
@@ -351,7 +358,7 @@ class TestPosteriorMemo:
         a[0] += 0.5
         grad = post.log_likelihood_gradient(a)
         assert len(passes) == 2
-        assert np.array_equal(grad, log_likelihood_and_gradient(
+        assert np.array_equal(grad, value_and_gradient(
             a, tiny_dataset, tiny_topology)[1])
         assert post.log_likelihood(a) == log_likelihood(a, tiny_dataset,
                                                         tiny_topology)
@@ -378,7 +385,7 @@ class TestPosteriorMemo:
 
 class TestActivationReuse:
     """A gradient at a point whose likelihood BnnPosterior computed last
-    finishes from that pass's activations, with the fused pass's bits."""
+    finishes from that pass's activations, with a fresh pass's bits."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -396,7 +403,7 @@ class TestActivationReuse:
     def test_reuse_matches_fused_and_reference(self, classes, rows, passes):
         for sd in LEAN_SDS:
             theta, ds, topo = lean_case(classes, rows, sd)
-            value, fused = log_likelihood_and_gradient(theta, ds, topo)
+            value, fresh = value_and_gradient(theta, ds, topo)
             post = BnnPosterior(topo, ds, PriorConfig())
             post.log_likelihood_gradient(theta + 1.0)
             before = dict(passes)
@@ -404,7 +411,7 @@ class TestActivationReuse:
             grad = post.log_likelihood_gradient(theta.copy())
             assert passes["_forward"] - before["_forward"] == 1
             assert passes["_backward"] - before["_backward"] == 1
-            assert np.array_equal(grad, fused)
+            assert np.array_equal(grad, fresh)
             assert np.array_equal(grad,
                                   ref.log_likelihood_gradient(theta, ds, topo))
             assert value == ref.log_likelihood(theta, ds, topo)
@@ -418,7 +425,7 @@ class TestActivationReuse:
     def test_current_point_survives_a_random_walk_store(self, passes):
         theta, ds, topo = lean_case(3, 90, 1.0)
         current, drift, walk = (theta + shift for shift in (0.0, 0.1, 0.2))
-        expected = log_likelihood_and_gradient(walk, ds, topo)[1]
+        expected = value_and_gradient(walk, ds, topo)[1]
         passes.update(_forward=0, _backward=0)
         post = BnnPosterior(topo, ds, PriorConfig())
         # a rejected drift step from current, then a random-walk proposal
@@ -526,7 +533,7 @@ class TestLeanKernelBitIdentity:
     def test_log_likelihood_and_gradient(self, classes, rows):
         for sd in LEAN_SDS:
             theta, ds, topo = lean_case(classes, rows, sd)
-            value, grad = log_likelihood_and_gradient(theta, ds, topo)
+            value, grad = value_and_gradient(theta, ds, topo)
             assert value == ref.log_likelihood(theta, ds, topo)
             assert np.array_equal(grad,
                                   ref.log_likelihood_gradient(theta, ds, topo))
@@ -535,7 +542,7 @@ class TestLeanKernelBitIdentity:
         theta, ds, topo = lean_case(classes, rows, 5.0)
         kept = [a.copy() for a in (theta, ds.features, ds.labels, ds.one_hot)]
         log_likelihood(theta, ds, topo)
-        log_likelihood_and_gradient(theta, ds, topo)
+        value_and_gradient(theta, ds, topo)
         forward_batch(theta, ds.features, topo)
         softmax(forward_batch(theta, ds.features, topo))
         sse_gradient(theta, ds, topo)
@@ -584,7 +591,7 @@ def tiny_case(scales, rows):
 @pytest.mark.parametrize("scales", TINY_SCALES)
 def test_subnormal_scale_parameters_keep_the_reference_bits(scales, rows):
     theta, ds, topo = tiny_case(scales, rows)
-    value, grad = log_likelihood_and_gradient(theta, ds, topo)
+    value, grad = value_and_gradient(theta, ds, topo)
     for got, want in [
             (value, ref.log_likelihood(theta, ds, topo)),
             (grad, ref.log_likelihood_gradient(theta, ds, topo)),

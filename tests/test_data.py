@@ -50,6 +50,12 @@ class TestDatasetInvariants:
         with pytest.raises(ContractError):
             make_dataset(np.array([[np.inf, 0.0]]), [0], 2)
 
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ContractError, match="at least one sample row"):
+            Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
+        with pytest.raises(ContractError, match="at least one sample row"):
+            make_dataset(np.zeros((0, 2)), [], 2)
+
     def test_rejects_row_mismatch(self):
         with pytest.raises(ContractError):
             Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), 2)
@@ -319,8 +325,14 @@ class TestSplit:
     def test_class_starved_split(self):
         ds = make_dataset(np.random.default_rng(0).normal(size=(5, 2)),
                           [0, 0, 0, 0, 1], 2)
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError,
+                           match="class 0 would be absent from the train"):
             split(ds, train_fraction=0.1)
+
+    def test_fraction_that_empties_the_test_side(self):
+        # round(0.9 * 2) puts both rows of each class on the train side
+        with pytest.raises(DataFormatError, match="test split is empty"):
+            split(self.build(n_per_class=2, classes=2), train_fraction=0.9)
 
 
 class TestRegistry:
@@ -342,6 +354,16 @@ class TestRegistry:
         with pytest.raises(DataFormatError, match="hidden_units") as err:
             load_registry()
         assert "[toy]" in str(err.value)
+
+    @pytest.mark.parametrize("text", [
+        "[toy]\nattributes\n",
+        "[iris]\nclasses = 3\n[iris]\nclasses = 3\n",
+    ], ids=["key-without-value", "duplicate-section"])
+    def test_unparsable_file_is_a_format_error(self, monkeypatch, text):
+        monkeypatch.setattr(data, "_registry_text", lambda: text)
+        with pytest.raises(DataFormatError, match="registry.cfg") as err:
+            load_registry()
+        assert "\n" not in str(err.value)
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ConfigError) as err:

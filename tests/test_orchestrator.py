@@ -704,8 +704,8 @@ class PlainPosterior(BnnPosterior):
         return bnn.log_likelihood(theta, self.dataset, self.topology)
 
     def log_likelihood_gradient(self, theta):
-        return bnn.log_likelihood_and_gradient(theta, self.dataset,
-                                               self.topology)[1]
+        return BnnPosterior(self.topology, self.dataset,
+                            self.prior).log_likelihood_gradient(theta)
 
 
 class ReferencePosterior(BnnPosterior):
