@@ -5,11 +5,11 @@ The bundled datasets (iris, cancer) ship with the package; this script
 fetches the rest from the UCI archive into ./datasets (or the directory
 named by SAPT_DATA_DIR), converting each to the label-last numeric CSV
 schema the loader expects. Each dataset's attribute and class counts
-and its file name come from the package registry (registry.cfg); the
-converted table is checked against them and written with
-sapt.data.save_csv to a temporary file, which replaces the data file
-only once its checksum passes. The script imports sapt, so it needs
-numpy.
+and its file name come from the package registry (sapt.data.REGISTRY),
+whose unbundled entries are the keys of SOURCES below; the converted
+table is checked against them and written with sapt.data.save_csv to a
+temporary file, which replaces the data file only once its checksum
+passes. The script imports sapt, so it needs numpy.
 
 Checksums are trust-on-first-use: the first successful download records
 its SHA-256 in <data dir>/checksums.txt and later runs verify against

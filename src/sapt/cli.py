@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bnn import NetworkTopology, PriorConfig
-from .data import (DEFAULT_TRAIN_FRACTION, load_csv, load_registry,
+from .data import (DEFAULT_TRAIN_FRACTION, REGISTRY, load_csv,
                    load_registered, split)
 from .diagnostics import (compose_report, emit_posterior, posterior_accuracy,
                           write_manifest, write_surrogate_trace)
@@ -109,16 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_dataset(args):
     """-> (dataset_id, topology, train, test)."""
-    registry = load_registry()
     path = Path(args.dataset)
-    if args.dataset in registry:
+    if args.dataset in REGISTRY:
         entry, train, test = load_registered(
             args.dataset, args.train_fraction, seed=args.seed)
         hidden = entry.hidden_units if args.hidden is None else args.hidden
     elif not path.is_file():
         raise ConfigError(
             f"{args.dataset!r} is neither a registered dataset "
-            f"({', '.join(sorted(registry))}) nor an existing file")
+            f"({', '.join(sorted(REGISTRY))}) nor an existing file")
     elif args.hidden is None:
         raise ConfigError("--hidden is required for a dataset given by path")
     else:

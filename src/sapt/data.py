@@ -12,7 +12,6 @@ split() min-max scales both sides with the train rows' statistics.
 from __future__ import annotations
 
 import bisect
-import configparser
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -206,9 +205,9 @@ def split(dataset: Dataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """Per-dataset shape and model sizing, read from the registry file.
+    """Per-dataset shape and model sizing, one row of REGISTRY.
 
-    surrogate_hidden is not in the registry and the sampler ignores it
+    surrogate_hidden is not set by any entry and the sampler ignores it
     (the surrogate is a linear ridge fit with no hidden layers); only
     perfbench/pipeline.py reads it, to pass on to SamplerConfig.
     """
@@ -226,42 +225,26 @@ class RegistryEntry:
                                self.class_count)
 
 
-def _registry_text() -> str:
-    return (resources.files("sapt.datasets") / "registry.cfg").read_text()
-
-
-def load_registry() -> dict:
-    """Parse the packaged registry file into name -> RegistryEntry; a
-    missing or malformed key is a DataFormatError naming its section,
-    and a file configparser cannot parse one naming the file."""
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(_registry_text(), source="registry.cfg")
-    except configparser.Error as exc:
-        # configparser's message spans lines; the CLI prints one
-        raise DataFormatError(" ".join(str(exc).split())) from None
-    entries = {}
-    for section in parser.sections():
-        try:
-            entries[section] = RegistryEntry(
-                name=section,
-                attribute_count=parser.getint(section, "attributes"),
-                class_count=parser.getint(section, "classes"),
-                hidden_units=parser.getint(section, "hidden_units"),
-                data_file=parser.get(section, "data_file"),
-                bundled=parser.getboolean(section, "bundled", fallback=False),
-            )
-        except (configparser.Error, ValueError) as exc:
-            raise DataFormatError(f"registry section [{section}]: {exc}") from None
-    return entries
+# The registered datasets, by name. attribute_count and class_count
+# describe the CSV (label-last, no header); hidden_units is the
+# classifier's hidden layer width. data_file resolves against the
+# packaged datasets directory, then $SAPT_DATA_DIR, then ./datasets.
+# Entries with bundled=False need scripts/fetch_datasets.py first.
+REGISTRY = {e.name: e for e in (
+    RegistryEntry("iris", 4, 3, 12, "iris.csv", bundled=True),
+    RegistryEntry("cancer", 9, 2, 12, "cancer.csv", bundled=True),
+    RegistryEntry("ionosphere", 34, 2, 50, "ionosphere.csv", bundled=False),
+    RegistryEntry("bank", 20, 2, 50, "bank.csv", bundled=False),
+    RegistryEntry("pendigit", 16, 10, 30, "pendigit.csv", bundled=False),
+    RegistryEntry("chess", 6, 18, 25, "chess.csv", bundled=False),
+)}
 
 
 def registry_entry(name: str) -> RegistryEntry:
-    entries = load_registry()
-    if name not in entries:
-        known = ", ".join(sorted(entries))
+    if name not in REGISTRY:
+        known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown dataset {name!r}; registry has: {known}")
-    return entries[name]
+    return REGISTRY[name]
 
 
 def resolve_data_file(entry: RegistryEntry) -> Path:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import sapt
-from sapt import data
 from sapt.bnn import BnnPosterior
 from sapt.cli import build_parser, main
 from sapt.data import (load_registered, registry_entry, resolve_data_file,
@@ -57,20 +56,6 @@ class TestErrors:
         code = run_cli(["--replicas", "1", "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text", [
-        "[toy]\nattributes\n",
-        "[iris]\nclasses = 3\n[iris]\nclasses = 3\n",
-    ], ids=["key-without-value", "duplicate-section"])
-    def test_unparsable_registry_is_reported(self, capsys, tmp_path,
-                                             monkeypatch, text):
-        monkeypatch.setattr(data, "_registry_text", lambda: text)
-        code = run_cli(["--dataset", "iris", "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
-        assert "registry.cfg" in err
 
     def test_csv_path_requires_hidden(self, capsys, tmp_path):
         csv_path = tmp_path / "d.csv"

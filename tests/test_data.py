@@ -1,17 +1,17 @@
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import _data_reference as ref
-from sapt import data
 from sapt.bnn import BnnPosterior, NetworkTopology, PriorConfig
 from sapt.data import (
+    REGISTRY,
     Dataset,
     load_csv,
     load_registered,
-    load_registry,
     make_dataset,
     one_hot,
     registry_entry,
@@ -348,33 +348,24 @@ class TestRegistry:
         assert entry.attribute_count == 9
         assert entry.class_count == 2
 
-    def test_missing_key_is_a_format_error(self, monkeypatch):
-        monkeypatch.setattr(data, "_registry_text", lambda: (
-            "[toy]\nattributes = 2\nclasses = 2\ndata_file = toy.csv\n"))
-        with pytest.raises(DataFormatError, match="hidden_units") as err:
-            load_registry()
-        assert "[toy]" in str(err.value)
-
-    @pytest.mark.parametrize("text", [
-        "[toy]\nattributes\n",
-        "[iris]\nclasses = 3\n[iris]\nclasses = 3\n",
-    ], ids=["key-without-value", "duplicate-section"])
-    def test_unparsable_file_is_a_format_error(self, monkeypatch, text):
-        monkeypatch.setattr(data, "_registry_text", lambda: text)
-        with pytest.raises(DataFormatError, match="registry.cfg") as err:
-            load_registry()
-        assert "\n" not in str(err.value)
-
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ConfigError) as err:
             registry_entry("mnist")
         assert "iris" in str(err.value)
 
     def test_bundled_files_resolve(self):
-        for name in load_registry():
-            entry = registry_entry(name)
+        for entry in REGISTRY.values():
             if entry.bundled:
                 assert resolve_data_file(entry).is_file()
+
+    def test_entries_are_consistent(self):
+        packaged = resources.files("sapt.datasets")
+        for name, entry in REGISTRY.items():
+            assert name == entry.name
+            entry.topology()
+            assert (packaged / entry.data_file).is_file() == entry.bundled
+        files = [entry.data_file for entry in REGISTRY.values()]
+        assert len(set(files)) == len(files)
 
     def test_load_registered_shapes(self, iris):
         entry, train, test = iris

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sapt.data import load_csv, registry_entry
+from sapt.data import REGISTRY, load_csv, registry_entry
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fetch_datasets.py"
 UCI = "https://archive.ics.uci.edu/ml/machine-learning-databases"
@@ -117,3 +117,8 @@ def test_changed_download_is_a_checksum_mismatch(script, tmp_path):
         PINNED["ionosphere"]
     assert sorted(f.name for f in tmp_path.iterdir()) == [
         "checksums.txt", path.name]
+
+
+def test_sources_are_the_unbundled_registry_entries(script):
+    assert set(script.SOURCES) == {name for name, entry in REGISTRY.items()
+                                   if not entry.bundled}
