@@ -6,7 +6,7 @@
 The base ref (git archive) and the working tree's tracked files, as they
 are on disk, are copied into .bench_build/digests/. Each copy runs the
 fixed matrix of configurations below with its own sapt and perfbench.
-For every configuration the script prints four hashes per side:
+For every configuration the script prints five hashes per side:
 
 * chain: perfbench's chain digest of every replica's samples and
   log-likelihood trace;
@@ -18,7 +18,9 @@ For every configuration the script prints four hashes per side:
   listed after the table and not compared;
 * data: the bytes of the teacher CSV that the copy's save_csv wrote,
   then the train and test features, labels, one-hot targets and class
-  counts the run sampled from.
+  counts the run sampled from;
+* outputs: the name and bytes of every file that emit_posterior (at
+  the CLI's thin 10) and write_surrogate_trace write for the run.
 
 It exits 1 if any hash differs or a side fails to run, and removes the
 copies on the way out.
@@ -38,7 +40,7 @@ from pathlib import Path
 from bench_pairs import ROOT, export_base, export_working_tree
 
 DIGESTS_DIR = ROOT / ".bench_build" / "digests"
-HASHES = ("chain", "surrogate", "report", "data")
+HASHES = ("chain", "surrogate", "report", "data", "outputs")
 
 # (label, workload or "nine-class", sub-seed, SamplerConfig overrides);
 # the sub-seeds are those perfbench/run.py makes from --seed 1 and 5, and
@@ -144,12 +146,23 @@ def run_matrix(checkout: Path) -> None:
                                trace.surrogate_estimates,
                                trace.surrogate_truths):
                     surrogate.update(np.ascontiguousarray(values).tobytes())
+            out_dir = Path(work) / label
+            written = diagnostics.emit_posterior(chain, out_dir,
+                                                 thin=pipeline.THIN)
+            written.append(out_dir / "surrogate_trace.csv")
+            diagnostics.write_surrogate_trace(chain, written[-1])
+            outputs = hashlib.sha256()
+            for path in written:
+                outputs.update(path.name.encode() + b"\0")
+                outputs.update(path.read_bytes())
+            shutil.rmtree(out_dir)
             print(json.dumps({
                 "label": label,
                 "chain": pipeline.chain_digest(chain),
                 "surrogate": surrogate.hexdigest(),
                 "report": text,
                 "data": data.hexdigest(),
+                "outputs": outputs.hexdigest(),
             }), flush=True)
 
 

@@ -16,8 +16,8 @@ The likelihood kernel works in place and returns the bits of the plain
 formulas (tests/_bnn_reference.py), so a seed gives the same chains
 whichever computed them. Elementwise passes may run in any order; the
 reductions and matrix products keep the plain layout. A forward pass
-halves one copy of theta's (w, del_h, v) and makes the doubled hidden
-layer 2 sigmoid(a) = 1 + tanh(x @ (w/2) + del_h/2). Scaling by 2^-1
+halves one copy of theta and makes the doubled hidden layer
+2 sigmoid(a) = 1 + tanh(x @ (w/2) + del_h/2). Scaling by 2^-1
 rounds nothing above the subnormal range, and a subnormal a/2 passes
 tanh unchanged and becomes exactly 1. The likelihood pass multiplies
 the doubled layer by v/2 and adds del_o while it makes the contiguous
@@ -26,7 +26,9 @@ on; an output moved by a subnormal product stays below 2^-53, where
 the shift and exp cannot tell it apart. forward_batch and sse_gradient
 halve the layer before the product with v, so their outputs keep the
 plain bits, and the gradients halve it exactly (1 + tanh is never
-subnormal). softmax shifts a class-major copy too and writes the rows
+subnormal). forward_batch also takes a (K, L) stack of thetas: its
+matrix products are one np.matmul over the stack, whose every sample
+gets the bits of its own pass, and the bias adds run per sample. softmax shifts a class-major copy too and writes the rows
 back. An axis-0 sum keeps np.sum(axis=-1)'s bits only below
 PAIRWISE_SUM_CLASSES classes, where numpy sums in sequence; from there
 the sums run over the (N, O) layout. From LONG_ROWS data rows on, a
@@ -41,7 +43,9 @@ pass and takes the place of its activations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +74,16 @@ class NetworkTopology:
         i, h, o = self.input_count, self.hidden_count, self.output_count
         return i * h + h * o + h + o
 
+    @cached_property
+    def _layout(self) -> tuple:
+        """Index tuples of w, del_h, v and del_o along theta's last axis,
+        then the shapes of w and v; built once, since building them
+        costs as much as taking the views."""
+        i, h, o = self.input_count, self.hidden_count, self.output_count
+        bounds = (0, i * h, i * h + h, i * h + h + h * o, self.parameter_count)
+        return (*((..., slice(a, b)) for a, b in zip(bounds, bounds[1:])),
+                (i, h), (h, o))
+
 
 @dataclass(frozen=True)
 class PriorConfig:
@@ -82,12 +96,18 @@ class PriorConfig:
             raise ContractError(f"prior variance must lie in (0, inf), got {self.sigma_sq}")
 
 
-def check_theta(theta: np.ndarray, topology: NetworkTopology) -> np.ndarray:
+def check_theta(theta: np.ndarray, topology: NetworkTopology,
+                stack: bool = False) -> np.ndarray:
+    """theta as float64, checked to be one finite (L,) parameter vector,
+    or with stack also a (K, L) stack of K of them."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (topology.parameter_count,):
+    length = topology.parameter_count
+    if theta.shape != (length,) and not (
+            stack and theta.shape[1:] == (length,)):
         raise ContractError(
             f"parameter vector has shape {theta.shape}, expected "
-            f"({topology.parameter_count},) for {topology}"
+            f"{f'(K, {length}) or ' if stack else ''}({length},) for "
+            f"{topology}"
         )
     if not np.isfinite(theta).all():
         raise ContractError("parameter vector has non-finite entries")
@@ -95,12 +115,12 @@ def check_theta(theta: np.ndarray, topology: NetworkTopology) -> np.ndarray:
 
 
 def _views(flat: np.ndarray, topology: NetworkTopology):
-    """(w, del_h, v, del_o) views of a flat vector in theta layout."""
-    i, h, o = topology.input_count, topology.hidden_count, topology.output_count
-    n_w = i * h
-    return (flat[:n_w].reshape(i, h), flat[n_w:n_w + h],
-            flat[n_w + h:n_w + h + h * o].reshape(h, o),
-            flat[n_w + h + h * o:])
+    """(w, del_h, v, del_o) views of a flat vector in theta layout, or
+    of every row of a stack of them."""
+    w, del_h, v, del_o, w_shape, v_shape = topology._layout
+    lead = flat.shape[:-1]
+    return (flat[w].reshape(lead + w_shape), flat[del_h],
+            flat[v].reshape(lead + v_shape), flat[del_o])
 
 
 # From this many classes on, numpy's last-axis sum is pairwise rather
@@ -147,33 +167,37 @@ def softmax(f: np.ndarray) -> np.ndarray:
 
 
 def _add_bias(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """m += b on every row of the C-contiguous m; from LONG_ROWS rows on,
-    FOLD_ROWS rows at a time as one wide row."""
-    rows, width = m.shape
-    if rows < LONG_ROWS:
+    """m += b on every row of the C-contiguous (rows, width) m, or of
+    each sample's rows of a (K, rows, width) m with one b row per sample;
+    from LONG_ROWS rows on, FOLD_ROWS rows at a time as one wide row."""
+    if b.ndim > 1:
+        b = b[:, None]
+    if m.shape[-2] < LONG_ROWS:
         m += b
         return m
+    *lead, rows, width = m.shape
     body = rows - rows % FOLD_ROWS
-    tiled = np.empty((FOLD_ROWS, width))
+    tiled = np.empty((*lead, FOLD_ROWS, width))
     tiled[:] = b
-    wide = m[:body].reshape(-1, FOLD_ROWS * width)
-    wide += tiled.reshape(-1)
-    m[body:] += b
+    wide = m[..., :body, :].reshape(*lead, -1, FOLD_ROWS * width)
+    wide += tiled.reshape(*lead, 1, -1)
+    m[..., body:, :] += b
     return m
 
 
 def _forward(theta: np.ndarray, features: np.ndarray,
-             topology: NetworkTopology):
-    """(theta's (w, del_h, v, del_o) views, v/2, doubled hidden layer)."""
-    theta = check_theta(theta, topology)
+             topology: NetworkTopology, stack: bool = False):
+    """(theta's (w, del_h, v, del_o) views, v/2, doubled hidden layer);
+    with stack, theta may be a (K, L) stack, and each sample's layer is
+    one slice of a (K, rows, hidden) result."""
+    theta = check_theta(theta, topology, stack)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != topology.input_count:
         raise ContractError(
             f"feature matrix has shape {features.shape}, expected "
             f"(N, {topology.input_count})"
         )
-    half_w, half_del_h, half_v, _ = _views(
-        theta[:-topology.output_count] * 0.5, topology)
+    half_w, half_del_h, half_v, _ = _views(theta * 0.5, topology)
     hidden = _add_bias(features @ half_w, half_del_h)
     np.tanh(hidden, out=hidden)
     hidden += 1.0
@@ -181,17 +205,18 @@ def _forward(theta: np.ndarray, features: np.ndarray,
 
 
 def _outputs(theta: np.ndarray, features: np.ndarray,
-             topology: NetworkTopology):
+             topology: NetworkTopology, stack: bool = False):
     """(v, hidden layer, pre-softmax outputs) of one forward pass."""
-    (_, _, v, del_o), _, hidden = _forward(theta, features, topology)
+    (_, _, v, del_o), _, hidden = _forward(theta, features, topology, stack)
     hidden *= 0.5
     return v, hidden, _add_bias(hidden @ v, del_o)
 
 
 def forward_batch(theta: np.ndarray, features: np.ndarray,
                   topology: NetworkTopology) -> np.ndarray:
-    """Pre-softmax outputs for a feature matrix, one row per sample."""
-    return _outputs(theta, features, topology)[2]
+    """Pre-softmax outputs for a feature matrix, one row per data row;
+    for a (K, L) stack of thetas, one (rows, classes) block per sample."""
+    return _outputs(theta, features, topology, stack=True)[2]
 
 
 def _log_likelihood_pass(theta: np.ndarray, dataset,
@@ -277,19 +302,22 @@ def sse_gradient(theta: np.ndarray, dataset, topology: NetworkTopology) -> np.nd
                      dataset.features, topology)
 
 
-def output_accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
-    """Percent of rows whose largest entry is at the label.
+def output_accuracy(outputs: np.ndarray, labels: np.ndarray):
+    """Percent of rows whose largest entry is at the label; for a
+    (K, rows, classes) stack of outputs, an array of K percentages.
 
     Ties break toward the lowest class index (argmax convention).
     Softmax is monotone, so pre-softmax outputs count as their
     probabilities do.
     """
-    return 100.0 * float(np.mean(np.argmax(outputs, axis=1) == labels))
+    accuracy = 100.0 * np.mean(np.argmax(outputs, axis=-1) == labels, axis=-1)
+    return float(accuracy) if accuracy.ndim == 0 else accuracy
 
 
-def predict_accuracy(theta: np.ndarray, dataset, topology: NetworkTopology) -> float:
+def predict_accuracy(theta: np.ndarray, dataset, topology: NetworkTopology):
     """Percent of samples whose most probable class matches the label,
-    by output_accuracy on the pre-softmax outputs."""
+    by output_accuracy on the pre-softmax outputs; one per sample of a
+    (K, L) stack of thetas."""
     return output_accuracy(forward_batch(theta, dataset.features, topology),
                            dataset.labels)
 
@@ -331,6 +359,9 @@ class BnnPosterior:
         self.topology = topology
         self.dataset = dataset
         self.prior = prior
+        # log_prior's -(L/2) log sigma^2 term, with bnn.log_prior's bits
+        self._log_prior_offset = -(topology.parameter_count / 2.0) \
+            * np.log(prior.sigma_sq)
         # key -> [value, activations or gradient], least recent first
         self._memo = {}
 
@@ -354,7 +385,15 @@ class BnnPosterior:
         return self._entry(theta)[0]
 
     def log_prior(self, theta: np.ndarray) -> float:
-        return log_prior(theta, self.prior)
+        """bnn.log_prior's value and errors; a finite |theta|^2 shows
+        finite entries, so only an inf or nan sum checks each entry."""
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (self.topology.parameter_count,):
+            return log_prior(theta, self.prior)
+        quad = float(theta @ theta)
+        if not math.isfinite(quad) and not np.isfinite(theta).all():
+            raise ContractError("log_prior requires finite parameters")
+        return self._log_prior_offset - quad / (2.0 * self.prior.sigma_sq)
 
     def sse_gradient(self, theta: np.ndarray) -> np.ndarray:
         return sse_gradient(theta, self.dataset, self.topology)

@@ -6,6 +6,7 @@ the same chain twice produces byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -19,6 +20,13 @@ from .exceptions import ContractError
 from .orchestrator import PosteriorChain, RunReport
 
 HISTOGRAM_BINS = 50
+
+# Data rows per forward pass when posterior_accuracy scores a block of
+# samples. Per-sample passes against blocks of 1024, 4096 and 16384 rows,
+# one 4 x 2000-step chain at thin 10 (median of 7, 2 cores, numpy 2.4):
+# iris 90 rows 33.4 / 9.7 / 6.9 / 6.7 ms, cancer 341 rows 53.4 / 34.5 /
+# 25.7 / 23.7 ms; 12000 rows keep one sample per block (82-85 ms).
+SCORE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -87,25 +95,31 @@ def posterior_accuracy(chain: PosteriorChain, train, test,
     """Accuracy statistics of the retained posterior.
 
     Every thinned sample is scored on its own, on both splits, and the
-    summary reports mean/std/best over those per-sample accuracies. One
-    forward pass over the test split per sample gives both its accuracy
-    (the argmax of the outputs) and its class probabilities, which are
-    summed into the posterior-mean predictive. That predictive gives
-    the log predictive density (each label probability clamped below at
-    PROB_FLOOR, as the likelihood is), the Brier score and its own
-    accuracy, test_accuracy_posterior_mean.
+    summary reports mean/std/best over those per-sample accuracies. The
+    samples are scored in blocks of up to SCORE_ROWS data rows, one
+    forward pass per split and block. The test split's outputs give
+    each sample's accuracy (the argmax of its outputs) and its class
+    probabilities, which are summed, sample by sample in order, into the
+    posterior-mean predictive. That predictive gives the log predictive
+    density (each label probability clamped below at PROB_FLOOR, as the
+    likelihood is), the Brier score and its own accuracy,
+    test_accuracy_posterior_mean.
     """
     thetas = chain.combined_posterior(thin)
     if thetas.shape[0] == 0:
         raise ContractError("posterior is empty after thinning")
-    train_acc = np.array(
-        [predict_accuracy(t, train, topology) for t in thetas])
-    test_acc = np.empty(thetas.shape[0])
+    block = max(1, SCORE_ROWS // max(train.sample_count, test.sample_count))
+    train_acc, test_acc = [], []
     test_sum = np.zeros((test.sample_count, test.class_count))
-    for k, theta in enumerate(thetas):
-        outputs = forward_batch(theta, test.features, topology)
-        test_acc[k] = output_accuracy(outputs, test.labels)
-        test_sum += softmax(outputs)
+    for start in range(0, thetas.shape[0], block):
+        stack = thetas[start:start + block]
+        train_acc.append(predict_accuracy(stack, train, topology))
+        outputs = forward_batch(stack, test.features, topology)
+        test_acc.append(output_accuracy(outputs, test.labels))
+        for probs in softmax(outputs):
+            test_sum += probs
+    train_acc = np.concatenate(train_acc)
+    test_acc = np.concatenate(test_acc)
     test_probs = test_sum / thetas.shape[0]
     picked = test_probs[np.arange(test.sample_count), test.labels]
     return AccuracySummary(
@@ -130,11 +144,60 @@ def compose_report(report: RunReport, summary: AccuracySummary) -> str:
 
 
 def _lines(row: str, *columns) -> str:
-    """row.format of one value from each column per line, as one string;
-    arrays go through tolist(), which formats as their elements do."""
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c
+    """row % (one value from each column) for every line, as one string.
+
+    Arrays go through ravel().tolist(), so %.17g formats Python floats,
+    with the bytes of '{:.17g}'; %d takes ints and %s strings."""
+    columns = [c.ravel().tolist() if isinstance(c, np.ndarray) else c
                for c in columns]
-    return "".join(map(row.format, *columns))
+    values = columns[0] if len(columns) == 1 else list(
+        itertools.chain.from_iterable(zip(*columns)))
+    return (row * (len(values) // len(columns))) % tuple(values)
+
+
+def _histograms(posterior: np.ndarray):
+    """(counts, edges) of np.histogram(column, HISTOGRAM_BINS) for every
+    posterior column at once: one (parameters, bins) array of counts and
+    one (parameters, bins + 1) array of edges, with np.histogram's bits
+    and its ValueErrors.
+
+    Each column's edges are np.linspace(min, max, bins + 1), widened by
+    0.5 on each side for a constant column. A value's bin is numpy's
+    uniform-bin index, moved down one where the value lies below its
+    bin's lower edge and up one where it reaches the next edge (not past
+    the last bin). Minima and maxima reduce contiguous column copies, as
+    np.histogram's do, so a zero keeps the sign it has there.
+    """
+    values = np.ascontiguousarray(posterior.T)
+    first, last = values.min(axis=1), values.max(axis=1)
+    if not (np.isfinite(first).all() and np.isfinite(last).all()):
+        raise ValueError("autodetected range of a posterior column is not "
+                         "finite")
+    flat = first == last
+    first = np.where(flat, first - 0.5, first)[:, None]
+    last = np.where(flat, last + 0.5, last)[:, None]
+    span = last - first
+    edges = np.arange(HISTOGRAM_BINS + 1.0) * (span / HISTOGRAM_BINS)
+    edges += first
+    edges[:, -1:] = last
+    # a step that underflows to 0 or rounds edges together; linspace's
+    # other order for a zero step makes no increasing edges either
+    if (edges[:, :-1] >= edges[:, 1:]).any():
+        raise ValueError(f"Too many bins for data range. Cannot create "
+                         f"{HISTOGRAM_BINS} finite-sized bins.")
+    scaled = np.subtract(values, first)
+    scaled /= span
+    scaled *= HISTOGRAM_BINS
+    index = scaled.astype(np.intp)
+    index[index == HISTOGRAM_BINS] -= 1
+    index -= values < np.take_along_axis(edges, index, axis=1)
+    index += ((values >= np.take_along_axis(edges, index + 1, axis=1))
+              & (index != HISTOGRAM_BINS - 1))
+    index += np.arange(0, values.shape[0] * HISTOGRAM_BINS,
+                       HISTOGRAM_BINS)[:, None]
+    counts = np.bincount(index.ravel(),
+                         minlength=values.shape[0] * HISTOGRAM_BINS)
+    return counts.reshape(-1, HISTOGRAM_BINS), edges
 
 
 def emit_posterior(chain: PosteriorChain, out_dir, thin: int = 1) -> list:
@@ -143,8 +206,9 @@ def emit_posterior(chain: PosteriorChain, out_dir, thin: int = 1) -> list:
     posterior_p<k>.csv holds the thinned exploit-phase samples of
     parameter k, one value per line. trace_replica<i>.csv covers every
     step of replica i. histograms.csv bins each parameter's retained
-    samples into 50 equal-width bins. Each file is built as one string
-    and written once. Returns the written paths.
+    samples into 50 equal-width bins, as np.histogram does. Each file is
+    formatted as one string, one column at a time, and written once.
+    Returns the written paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,21 +218,24 @@ def emit_posterior(chain: PosteriorChain, out_dir, thin: int = 1) -> list:
     written = []
     for k in range(chain.parameter_count):
         path = out / f"posterior_p{k}.csv"
-        path.write_text(_lines("{:.17g}\n", posterior[:, k]))
+        path.write_text(_lines("%.17g\n", posterior[:, k]))
         written.append(path)
     for trace in chain.traces:
         path = out / f"trace_replica{trace.replica}.csv"
         path.write_text("step,log_lik,source,phase\n" + _lines(
-            "{},{:.17g},{},{}\n", range(trace.steps), trace.log_liks,
+            "%d,%.17g,%s,%s\n", range(trace.steps), trace.log_liks,
             trace.sources, trace.phases))
         written.append(path)
+    counts, edges = _histograms(posterior)
+    # each edge formatted once; a bin's lower and upper edge are strings
+    edge_text = _lines("%.17g\n", edges).split()
+    lower, upper = edge_text[:], edge_text
+    del lower[HISTOGRAM_BINS::HISTOGRAM_BINS + 1]
+    del upper[::HISTOGRAM_BINS + 1]
     path = out / "histograms.csv"
-    bins = ["parameter,bin_lo,bin_hi,count\n"]
-    for k in range(chain.parameter_count):
-        counts, edges = np.histogram(posterior[:, k], bins=HISTOGRAM_BINS)
-        bins.append(_lines("{},{:.17g},{:.17g},{}\n", repeat(k),
-                           edges[:-1], edges[1:], counts))
-    path.write_text("".join(bins))
+    path.write_text("parameter,bin_lo,bin_hi,count\n" + _lines(
+        "%d,%s,%s,%d\n", np.arange(chain.parameter_count).repeat(
+            HISTOGRAM_BINS), lower, upper, counts))
     written.append(path)
     return written
 
@@ -180,7 +247,7 @@ def write_surrogate_trace(chain: PosteriorChain, path) -> int:
     not measured. Returns the row count."""
     rows = ["step,replica,log_lik,source,true_log_lik\n"]
     for trace in chain.traces:
-        rows.append(_lines("{},{},{:.17g},surrogate,{:.17g}\n",
+        rows.append(_lines("%d,%d,%.17g,surrogate,%.17g\n",
                            trace.surrogate_steps, repeat(trace.replica),
                            trace.surrogate_estimates,
                            trace.surrogate_truths))

@@ -1,9 +1,12 @@
-"""Frozen reference for the posterior and surrogate-trace files.
+"""Frozen reference for the posterior and surrogate-trace files, and
+for the posterior accuracy summary.
 
 These are the per-value write loops that sapt.diagnostics used before
-it built each file as one string. The tests require emit_posterior and
-write_surrogate_trace to write the same bytes. Do not edit them to
-follow diagnostics.py.
+it built each file as one string, and the per-sample scoring loop it
+used before it scored blocks of samples. The tests require
+emit_posterior, write_surrogate_trace and posterior_accuracy to give
+the same bytes and the same summary. Do not edit them to follow
+diagnostics.py.
 """
 from pathlib import Path
 
@@ -59,3 +62,38 @@ def write_surrogate_trace(chain, path) -> int:
                          f"{_fmt(trace.surrogate_truths[j])}\n")
                 rows += 1
     return rows
+
+
+def posterior_accuracy(chain, train, test, topology, thin: int = 10,
+                       elapsed_seconds: float = 0.0):
+    """The per-sample scoring loop: one forward pass per split and
+    retained sample, each test sample's probabilities summed in order."""
+    from sapt.bnn import (PROB_FLOOR, forward_batch, output_accuracy,
+                          predict_accuracy, softmax)
+    from sapt.diagnostics import AccuracySummary
+
+    thetas = chain.combined_posterior(thin)
+    train_acc = np.array(
+        [predict_accuracy(t, train, topology) for t in thetas])
+    test_acc = np.empty(thetas.shape[0])
+    test_sum = np.zeros((test.sample_count, test.class_count))
+    for k, theta in enumerate(thetas):
+        outputs = forward_batch(theta, test.features, topology)
+        test_acc[k] = output_accuracy(outputs, test.labels)
+        test_sum += softmax(outputs)
+    test_probs = test_sum / thetas.shape[0]
+    picked = test_probs[np.arange(test.sample_count), test.labels]
+    return AccuracySummary(
+        train_mean=float(train_acc.mean()),
+        train_std=float(train_acc.std()),
+        train_best=float(train_acc.max()),
+        test_mean=float(test_acc.mean()),
+        test_std=float(test_acc.std()),
+        test_best=float(test_acc.max()),
+        elapsed_minutes=elapsed_seconds / 60.0,
+        test_log_predictive_density=float(
+            np.mean(np.log(np.maximum(picked, PROB_FLOOR)))),
+        test_brier=float(np.mean(
+            np.sum((test_probs - test.one_hot) ** 2, axis=1))),
+        test_accuracy_posterior_mean=output_accuracy(test_sum, test.labels),
+    )

@@ -68,6 +68,28 @@ class TestTopology:
         with pytest.raises(ContractError):
             check_theta(bad, TOPO_222)
 
+    def test_only_the_forward_pass_takes_a_stack(self):
+        stack = np.stack([THETA_222, -THETA_222])
+        ds = one_row_dataset(X_222, 0, 2)
+        assert check_theta(stack, TOPO_222, stack=True).shape == (2, 12)
+        for bad in (np.zeros((2, 13)), np.zeros((2, 1, 12)),
+                    np.zeros((1, 2, 12))):
+            with pytest.raises(ContractError):
+                check_theta(bad, TOPO_222, stack=True)
+            with pytest.raises(ContractError):
+                forward_batch(bad, X_222[None, :], TOPO_222)
+            with pytest.raises(ContractError):
+                predict_accuracy(bad, ds, TOPO_222)
+        nan_stack = stack.copy()
+        nan_stack[1, 3] = np.nan
+        with pytest.raises(ContractError):
+            forward_batch(nan_stack, X_222[None, :], TOPO_222)
+        # the likelihood and its gradients take one theta
+        for single in (check_theta, lambda t, topo: log_likelihood(t, ds, topo),
+                       lambda t, topo: sse_gradient(t, ds, topo)):
+            with pytest.raises(ContractError):
+                single(stack, TOPO_222)
+
 
 class TestSoftmax:
     def test_uniform(self):
@@ -295,6 +317,50 @@ class TestBnnPosterior:
     def test_rejects_shape_mismatch(self, tiny_dataset):
         with pytest.raises(ContractError):
             BnnPosterior(NetworkTopology(3, 2, 2), tiny_dataset, PriorConfig())
+
+
+class TestPosteriorLogPrior:
+    """BnnPosterior.log_prior keeps its constant term and screens
+    finiteness by the sum of squares; it gives bnn.log_prior's bits and
+    errors."""
+
+    @pytest.fixture
+    def post(self, tiny_dataset, tiny_topology):
+        return BnnPosterior(tiny_topology, tiny_dataset, PriorConfig(3.7))
+
+    def test_bits_equal_the_module_function(self, post, tiny_topology):
+        rng = np.random.default_rng(37)
+        length = tiny_topology.parameter_count
+        thetas = [rng.normal(0.0, scale, size=length)
+                  for scale in (1e-3, 1.0, 5.0, 1e3) for _ in range(25)]
+        thetas += [np.zeros(length), np.full(length, 1e200),
+                   np.concatenate([[1e155, -1e155], np.ones(length - 2)])]
+        for theta in thetas:
+            got = post.log_prior(theta)
+            assert np.float64(got).tobytes() == \
+                np.float64(log_prior(theta, post.prior)).tobytes()
+        # the sum of squares overflows while every entry is finite
+        assert post.log_prior(np.full(length, 1e200)) == -np.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise_the_same_error(self, post,
+                                                     tiny_topology, bad):
+        theta = np.ones(tiny_topology.parameter_count)
+        theta[2] = bad
+        with pytest.raises(ContractError) as want:
+            log_prior(theta, post.prior)
+        with pytest.raises(ContractError) as got:
+            post.log_prior(theta)
+        assert str(got.value) == str(want.value)
+
+    def test_other_lengths_take_the_module_function(self, post,
+                                                    tiny_topology):
+        # the kept constant term is for parameter_count entries only
+        for length in (1, tiny_topology.parameter_count + 3):
+            theta = np.linspace(-1.0, 2.0, length)
+            assert post.log_prior(theta) == log_prior(theta, post.prior)
+        with pytest.raises(ContractError):
+            post.log_prior(np.array([1.0, np.nan]))
 
 
 class TestPosteriorMemo:
@@ -538,6 +604,23 @@ class TestLeanKernelBitIdentity:
             assert np.array_equal(grad,
                                   ref.log_likelihood_gradient(theta, ds, topo))
 
+    def test_stacked_forward_and_accuracy(self, classes, rows):
+        # each sample of a stack gets its own forward pass's bits
+        cases = [lean_case(classes, rows, sd) for sd in LEAN_SDS]
+        _, ds, topo = cases[0]
+        stack = np.stack([theta for theta, _, _ in cases])
+        kept = stack.copy()
+        outputs = forward_batch(stack, ds.features, topo)
+        accuracy = predict_accuracy(stack, ds, topo)
+        assert outputs.shape == (len(LEAN_SDS), rows, classes)
+        assert accuracy.shape == (len(LEAN_SDS),)
+        for theta, out, acc in zip(stack, outputs, accuracy):
+            assert np.array_equal(out, forward_batch(theta, ds.features, topo))
+            assert np.array_equal(out,
+                                  ref.forward_batch(theta, ds.features, topo))
+            assert acc == predict_accuracy(theta, ds, topo)
+        assert np.array_equal(stack, kept)
+
     def test_inputs_unmodified(self, classes, rows):
         theta, ds, topo = lean_case(classes, rows, 5.0)
         kept = [a.copy() for a in (theta, ds.features, ds.labels, ds.one_hot)]
@@ -597,5 +680,8 @@ def test_subnormal_scale_parameters_keep_the_reference_bits(scales, rows):
             (grad, ref.log_likelihood_gradient(theta, ds, topo)),
             (forward_batch(theta, ds.features, topo),
              ref.forward_batch(theta, ds.features, topo)),
+            (forward_batch(np.stack([theta, -theta]), ds.features, topo),
+             np.stack([ref.forward_batch(t, ds.features, topo)
+                       for t in (theta, -theta)])),
             (sse_gradient(theta, ds, topo), ref.sse_gradient(theta, ds, topo))]:
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sapt import bnn
+from sapt import bnn, diagnostics
 from sapt.bnn import NetworkTopology, predict_accuracy
 from sapt.data import make_dataset
 from sapt.diagnostics import (
@@ -91,20 +91,59 @@ class TestPosteriorAccuracy:
         assert summary.train_std == summary.test_std
         assert summary.train_best == summary.test_best
 
-    def test_one_forward_pass_per_split_and_sample(
+    def test_each_sample_scored_once_per_split(
             self, bnn_chain, tiny_dataset, tiny_topology, monkeypatch):
+        # blocks of 7: the 40 retained samples end in a block of 5
         chain, _ = bnn_chain
-        passes = []
+        monkeypatch.setattr(diagnostics, "SCORE_ROWS",
+                            7 * tiny_dataset.sample_count)
+        blocks = []
         forward = bnn._forward
 
-        def counted(*args):
-            passes.append(None)
-            return forward(*args)
+        def counted(theta, *args):
+            blocks.append(np.array(theta, ndmin=2))
+            return forward(theta, *args)
 
         monkeypatch.setattr(bnn, "_forward", counted)
         posterior_accuracy(chain, tiny_dataset, tiny_dataset, tiny_topology,
                            thin=5)
-        assert len(passes) == 2 * chain.combined_posterior(5).shape[0]
+        thetas = chain.combined_posterior(5)
+        assert thetas.shape[0] == 40
+        assert [len(b) for b in blocks] == [7] * 10 + [5, 5]
+        assert sum(len(b) for b in blocks) == 2 * thetas.shape[0]
+        # a train pass, then a test pass over the same block, in order
+        for split_blocks in (blocks[::2], blocks[1::2]):
+            assert np.array_equal(np.concatenate(split_blocks), thetas)
+
+    @pytest.mark.parametrize("rows, classes, score_rows", [
+        (40, 2, 1),                           # one sample per block
+        (40, 2, 7 * 40),                      # 40 = 5 x 7 + 5
+        (bnn.LONG_ROWS + 1, 3, None),         # folded bias adds, 13 x 3 + 1
+        (300, 9, None),                       # pairwise class sums
+        (bnn.LONG_ROWS + 100, 9, None)])
+    def test_blocks_match_per_sample_scores(self, rows, classes, score_rows,
+                                            monkeypatch):
+        if score_rows is not None:
+            monkeypatch.setattr(diagnostics, "SCORE_ROWS", score_rows)
+        rng = np.random.default_rng([rows, classes])
+        topology = NetworkTopology(4, 6, classes)
+        splits = [make_dataset(rng.normal(size=(n, 4)),
+                               rng.integers(0, classes, n), classes)
+                  for n in (rows, rows // 2 + 1)]
+        # scales from near-ties to saturated outputs
+        samples = rng.normal(size=(40, topology.parameter_count)) \
+            * rng.choice([0.01, 1.0, 30.0], size=(40, 1))
+        trace = ReplicaTrace(
+            replica=0, samples=samples, log_liks=np.zeros(40),
+            exploit_start=0, surrogate_steps=np.empty(0, np.int64),
+            surrogate_estimates=np.empty(0), surrogate_truths=np.empty(0))
+        chain = PosteriorChain(traces=[trace], parameter_count=samples.shape[1])
+        got = posterior_accuracy(chain, *splits, topology, thin=1,
+                                 elapsed_seconds=3.0)
+        want = ref.posterior_accuracy(chain, *splits, topology, thin=1,
+                                      elapsed_seconds=3.0)
+        assert got == want
+        assert got.to_text() == want.to_text()
 
     def test_duplicated_chain_mean_invariance(self, bnn_chain, tiny_dataset,
                                               tiny_topology):
@@ -294,6 +333,69 @@ class TestEmission:
         assert write_surrogate_trace(chain, new) \
             == ref.write_surrogate_trace(chain, old)
         assert new.read_bytes() == old.read_bytes()
+
+    @staticmethod
+    def columns_chain(columns) -> PosteriorChain:
+        """A chain whose retained posterior has the given columns, split
+        across two replicas."""
+        samples = np.stack(columns, axis=1)
+        half = (samples.shape[0] + 1) // 2
+        return PosteriorChain(traces=[ReplicaTrace(
+            replica=r, samples=part, log_liks=np.zeros(len(part)),
+            exploit_start=0, surrogate_steps=np.empty(0, np.int64),
+            surrogate_estimates=np.empty(0), surrogate_truths=np.empty(0))
+            for r, part in enumerate((samples[:half], samples[half:]))],
+            parameter_count=samples.shape[1])
+
+    def assert_reference_bytes(self, chain, tmp_path):
+        written = emit_posterior(chain, tmp_path / "new", thin=1)
+        expected = ref.emit_posterior(chain, tmp_path / "ref", thin=1)
+        assert [p.name for p in written] == [p.name for p in expected]
+        for path, ref_path in zip(written, expected):
+            assert path.read_bytes() == ref_path.read_bytes(), path.name
+        return (tmp_path / "new" / "histograms.csv").read_text()
+
+    @pytest.mark.parametrize("rows", [2, 3, 64, 300])
+    def test_histogram_edge_columns_match_reference_bytes(self, rows,
+                                                          tmp_path):
+        # columns that reach np.histogram's special cases, side by side
+        ramp = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
+        text = self.assert_reference_bytes(self.columns_chain([
+            np.full(rows, 0.3),                           # constant
+            np.resize(ramp, rows),                        # on bin edges
+            np.resize(ramp[::-1] * 7.0 - 3.0, rows),
+            np.resize([2.5, 2.5, -1.0, 2.5, 0.7], rows),  # repeated max
+            np.resize([-1.0, 0.0, -0.0], rows),           # max is a zero
+            np.resize([-1.0, -0.0, 0.0], rows),
+            np.resize([-0.0, 2.0, 0.0], rows),            # min is a zero
+            np.resize([0.0, -0.0], rows),                 # zeros, constant
+            np.resize([0.0, -0.0, *[-1.0] * 62], rows),  # reduce order
+            np.resize([-0.0, -1.0, -1.0, 0.0], rows),
+            np.resize([1e-310, -1e-310, 3e-311], rows),   # subnormal steps
+            np.resize([2e-320, 0.0, 1e-322], rows),
+            np.resize([1e300, -1e300, 3e299], rows),      # near overflow
+            np.resize([7e307, -7e307], rows),
+            np.random.default_rng(rows).normal(size=rows),
+        ]), tmp_path)
+        assert ",-0," in text
+
+    def test_histograms_of_a_single_retained_row(self, tmp_path):
+        self.assert_reference_bytes(self.columns_chain(
+            [np.array([value]) for value in
+             (0.3, -0.0, 0.0, 1e-310, -7.5, 1e13)]), tmp_path)
+
+    @pytest.mark.parametrize("column", [[1e300], [0.0, 1e-322],
+                                        [1.7e308, -1.7e308]])
+    def test_histograms_refuse_what_np_histogram_refuses(self, column,
+                                                         tmp_path):
+        # constant at 1e300, 0.5 rounds away; a span of 20 subnormal
+        # steps cannot hold 50 bins; a span that overflows to inf
+        chain = self.columns_chain([np.array(column), np.zeros(len(column))])
+        with pytest.raises(ValueError) as expected:
+            ref.emit_posterior(chain, tmp_path / "ref", thin=1)
+        with pytest.raises(ValueError) as got:
+            emit_posterior(chain, tmp_path / "new", thin=1)
+        assert str(got.value) == str(expected.value)
 
     def test_surrogate_trace_rows(self, surrogate_chain, tmp_path):
         chain, report = surrogate_chain
